@@ -118,7 +118,7 @@ BENCHMARK(BM_ScaleEngine_Batched)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-// --- Parallel sharded engine: same aggregate-mode populations across
+// --- Parallel aggregate engine: same aggregate-mode populations across
 // worker counts. Results are thread-count-invariant by construction, so
 // each arm asserts its aggregates byte-match the 1-thread reference for
 // its population before timing is accepted — a wrong-but-fast schedule

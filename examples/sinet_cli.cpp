@@ -556,6 +556,9 @@ int cmd_dts(int argc, char** argv) {
   std::printf("dts.sats=%ld\n", sats);
   std::printf("dts.days=%g\n", days);
   std::printf("dts.threads=%.0f\n", gauge("net.dts.parallel.threads"));
+  std::printf("dts.parallel_events=%.0f\n", gauge("net.dts.parallel.events"));
+  std::printf("dts.critical_path_share=%.4f\n",
+              gauge("net.dts.parallel.critical_path_share"));
   std::printf("dts.reports_generated=%llu\n",
               static_cast<unsigned long long>(res.agg.reports_generated));
   std::printf("dts.eligible_generated=%llu\n",

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -19,7 +20,7 @@
 #include "obs/scoped_timer.h"
 #include "orbit/frames.h"
 #include "sim/rng.h"
-#include "sim/shard.h"
+#include "sim/event_graph.h"
 #include "sim/simulation.h"
 #include "sim/thread_pool.h"
 
@@ -71,7 +72,7 @@ double effective_tail_exclusion_s(const DtsNetworkConfig& cfg) {
   // otherwise classify every report as ineligible (eligible_generated
   // stuck at 0 — the scale_ablation 100k bug): cap the exclusion at half
   // the run so short runs keep a nonzero eligible population. Every
-  // engine (legacy, exact batched, sharded) applies this same helper, so
+  // engine (legacy, exact batched, aggregate) applies this same helper, so
   // cross-engine parity is preserved.
   return std::min(cfg.aggregate_tail_exclusion_s,
                   0.5 * cfg.duration_days * 86400.0);
@@ -146,14 +147,20 @@ struct BufferRuns {
 struct NodeStore {
   std::size_t count = 0;
 
-  // Static per-node configuration.
+  /// Static report/radio configuration shared by a group of nodes.
+  struct Profile {
+    double interval_s;
+    int payload_bytes;
+    int max_retx;
+    std::uint32_t capacity;
+    channel::AntennaType antenna;
+  };
+
+  // Static per-node configuration. A fleet shares one profile (no
+  // per-node copy); an explicit node list has one profile per node.
   std::vector<std::uint32_t> loc;  ///< index into locations_
-  std::vector<double> interval_s;
   std::vector<double> phase_s;
-  std::vector<int> payload_bytes;
-  std::vector<int> max_retx;
-  std::vector<std::uint32_t> capacity;
-  std::vector<channel::AntennaType> antenna;
+  std::vector<Profile> profiles;
 
   // Dynamic state.
   std::vector<double> next_report_s;  ///< accumulated, mirrors legacy loop
@@ -161,7 +168,7 @@ struct NodeStore {
   std::vector<std::uint32_t> buf_size;
   std::vector<BufferRuns> runs;
   /// Extra (newer) runs for the rare node holding >2 disjoint runs.
-  /// Shared across nodes, so the sharded engine guards it with
+  /// Shared across nodes, so the aggregate engine guards it with
   /// overflow_mutex (see push_seq); single-threaded exact mode takes the
   /// same (uncontended) lock on the same rare path.
   std::unordered_map<std::uint64_t,
@@ -178,25 +185,26 @@ struct NodeStore {
             const std::vector<std::uint32_t>& node_loc) {
     count = detail::dts_node_count(cfg);
     loc = node_loc;
-    interval_s.resize(count);
     phase_s.resize(count);
-    payload_bytes.resize(count);
-    max_retx.resize(count);
-    capacity.resize(count);
-    antenna.resize(count);
-    const bool fleet = cfg.fleet.count > 0;
-    const IotNodeConfig& proto = cfg.fleet.prototype;
+    const auto profile_of_config = [](const IotNodeConfig& nc) {
+      return Profile{nc.report_interval_s, nc.report_payload_bytes,
+                     nc.max_retransmissions,
+                     static_cast<std::uint32_t>(std::min<std::size_t>(
+                         nc.buffer_capacity,
+                         std::numeric_limits<std::uint32_t>::max())),
+                     nc.antenna};
+    };
+    if (cfg.fleet.count > 0) {
+      profiles.assign(1, profile_of_config(cfg.fleet.prototype));
+    } else {
+      profiles.reserve(count);
+      for (const IotNodeConfig& nc : cfg.nodes)
+        profiles.push_back(profile_of_config(nc));
+    }
     for (std::size_t n = 0; n < count; ++n) {
-      const IotNodeConfig& nc = fleet ? proto : cfg.nodes[n];
-      interval_s[n] = nc.report_interval_s;
       // Same de-synchronization phase as the legacy scheduler.
-      phase_s[n] = std::fmod(60.0 * static_cast<double>(n),
-                             nc.report_interval_s);
-      payload_bytes[n] = nc.report_payload_bytes;
-      max_retx[n] = nc.max_retransmissions;
-      capacity[n] = static_cast<std::uint32_t>(std::min<std::size_t>(
-          nc.buffer_capacity, std::numeric_limits<std::uint32_t>::max()));
-      antenna[n] = nc.antenna;
+      phase_s[n] =
+          std::fmod(60.0 * static_cast<double>(n), interval_s(n));
     }
     next_report_s = phase_s;
     next_seq.assign(count, 0);
@@ -209,6 +217,22 @@ struct NodeStore {
     tx_seconds.assign(count, 0.0);
   }
 
+  [[nodiscard]] const Profile& profile(std::size_t n) const {
+    return profiles[profiles.size() == 1 ? 0 : n];
+  }
+  [[nodiscard]] double interval_s(std::size_t n) const {
+    return profile(n).interval_s;
+  }
+  [[nodiscard]] int payload_bytes(std::size_t n) const {
+    return profile(n).payload_bytes;
+  }
+  [[nodiscard]] int max_retx(std::size_t n) const {
+    return profile(n).max_retx;
+  }
+  [[nodiscard]] channel::AntennaType antenna(std::size_t n) const {
+    return profile(n).antenna;
+  }
+
   [[nodiscard]] bool empty(std::size_t n) const { return buf_size[n] == 0; }
   [[nodiscard]] std::uint64_t front(std::size_t n) const {
     return runs[n].b0;
@@ -217,14 +241,14 @@ struct NodeStore {
   /// Admit `seq` (== next_seq[n] - 1) at the newest end. Returns false —
   /// a local drop — when the buffer is full.
   ///
-  /// Concurrency: the sharded engine calls this from pool workers for
+  /// Concurrency: the aggregate engine calls this from pool workers for
   /// DISJOINT node sets, so every per-node vector write is race-free.
   /// The one shared structure is the overflow map; by the run-ordering
   /// invariant (overflow[n] nonempty implies run1 is valid) it is only
   /// ever reachable behind the `r.e1 > r.b1` branch, so the map mutex is
   /// taken only on the rare >2-disjoint-runs path, never per push.
   bool push_seq(std::size_t n, std::uint64_t seq) {
-    if (buf_size[n] >= capacity[n]) return false;
+    if (buf_size[n] >= profile(n).capacity) return false;
     BufferRuns& r = runs[n];
     if (r.e1 > r.b1) {
       std::lock_guard<std::mutex> lock(overflow_mutex);
@@ -278,12 +302,8 @@ struct NodeStore {
   [[nodiscard]] std::size_t approx_bytes() const {
     std::size_t b = 0;
     b += loc.capacity() * sizeof(std::uint32_t);
-    b += interval_s.capacity() * sizeof(double);
     b += phase_s.capacity() * sizeof(double);
-    b += payload_bytes.capacity() * sizeof(int);
-    b += max_retx.capacity() * sizeof(int);
-    b += capacity.capacity() * sizeof(std::uint32_t);
-    b += antenna.capacity() * sizeof(channel::AntennaType);
+    b += profiles.capacity() * sizeof(Profile);
     b += next_report_s.capacity() * sizeof(double);
     b += next_seq.capacity() * sizeof(std::uint64_t);
     b += buf_size.capacity() * sizeof(std::uint32_t);
@@ -300,7 +320,7 @@ struct NodeStore {
 /// Exact-mode (trace) engine: at or below cfg.trace_node_threshold nodes
 /// it replays the legacy RNG draw order bit-for-bit and emits a full
 /// per-packet DtsNetworkResult. Population runs above the threshold go
-/// to ShardSimulator below instead.
+/// to AggregateSimulator below instead.
 class BatchSimulator {
  public:
   explicit BatchSimulator(const DtsNetworkConfig& cfg)
@@ -341,7 +361,7 @@ class BatchSimulator {
   /// repeated-addition loop bit for bit.
   [[nodiscard]] double gen_time_s(std::size_t n, std::uint64_t seq) const {
     return nodes_.phase_s[n] +
-           static_cast<double>(seq) * nodes_.interval_s[n];
+           static_cast<double>(seq) * nodes_.interval_s(n);
   }
 
   void build_satellites() {
@@ -529,7 +549,7 @@ class BatchSimulator {
       if (inclusive ? t > limit : t >= limit) break;
       report_heap_.pop();
       generate_report(n, t);
-      nodes_.next_report_s[n] += nodes_.interval_s[n];
+      nodes_.next_report_s[n] += nodes_.interval_s(n);
       if (nodes_.next_report_s[n] < duration_s())
         report_heap_.emplace(nodes_.next_report_s[n], n);
     }
@@ -540,7 +560,7 @@ class BatchSimulator {
     trace::UplinkRecord rec;
     rec.sequence = seq;
     rec.node = node_names_[n];
-    rec.payload_bytes = nodes_.payload_bytes[n];
+    rec.payload_bytes = nodes_.payload_bytes(n);
     rec.generated_unix_s = sim_.epoch_unix_s() + t;
     records_[n].push_back(std::move(rec));
     if (!nodes_.push_seq(n, seq)) {
@@ -614,7 +634,7 @@ class BatchSimulator {
     if (!g.in_footprint || g.masked) return;
 
     phy::LinkConfig beacon_cfg = cfg_.downlink;
-    beacon_cfg.rx_antenna = nodes_.antenna[n];
+    beacon_cfg.rx_antenna = nodes_.antenna(n);
     const phy::LinkState beacon_state = phy::draw_link_state(
         beacon_cfg, g.geo.look, wx, g.doppler_rate, rng);
     if (!error_model_.receive(beacon_state, beacon_cfg.lora,
@@ -625,7 +645,7 @@ class BatchSimulator {
     if (now < nodes_.busy_until[n]) return;  // half-duplex: radio busy
 
     phy::LinkConfig up_cfg = cfg_.uplink;
-    up_cfg.tx_antenna = nodes_.antenna[n];
+    up_cfg.tx_antenna = nodes_.antenna(n);
     if (cfg_.adaptive_sf) {
       up_cfg.lora.sf = phy::choose_spreading_factor(
           beacon_state.snr_db + cfg_.adr_uplink_advantage_db, 6.0);
@@ -665,7 +685,7 @@ class BatchSimulator {
     double max_toa = 0.0;
     for (const SlotResponder& r : responders) {
       const double toa = phy::time_on_air_s(r.uplink_params,
-                                            nodes_.payload_bytes[r.node]);
+                                            nodes_.payload_bytes(r.node));
       max_toa = std::max(max_toa, toa);
     }
     std::vector<double> offsets;
@@ -681,7 +701,7 @@ class BatchSimulator {
     for (std::size_t i = 0; i < responders.size(); ++i) {
       SlotResponder& r = responders[i];
       const double toa = phy::time_on_air_s(r.uplink_params,
-                                            nodes_.payload_bytes[r.node]);
+                                            nodes_.payload_bytes(r.node));
       r.tx = Transmission{static_cast<std::uint64_t>(r.node),
                           now + offsets[i], now + offsets[i] + toa,
                           r.uplink_state.rssi_dbm};
@@ -734,7 +754,7 @@ class BatchSimulator {
 
     const bool decoded =
         survived && error_model_.receive(r.uplink_state, r.uplink_params,
-                                         nodes_.payload_bytes[n], rng);
+                                         nodes_.payload_bytes(n), rng);
 
     bool acked = false;
     if (decoded) {
@@ -745,7 +765,7 @@ class BatchSimulator {
         StoredPacket sp;
         sp.packet.sequence = seq;
         sp.packet.node_index = static_cast<std::int64_t>(n);
-        sp.packet.payload_bytes = nodes_.payload_bytes[n];
+        sp.packet.payload_bytes = nodes_.payload_bytes(n);
         sp.packet.generated_at = gen_time_s(n, seq);
         sp.satellite_rx_at = r.tx.end;
         sp.satellite_index = static_cast<std::int64_t>(s);
@@ -767,7 +787,7 @@ class BatchSimulator {
         ++counters_.acks_sent;
         phy::LinkConfig ack_cfg = cfg_.downlink;
         ack_cfg.tx_power_dbm += cfg_.ack_power_boost_db;
-        ack_cfg.rx_antenna = nodes_.antenna[n];
+        ack_cfg.rx_antenna = nodes_.antenna(n);
         const phy::LinkState ack_state = phy::draw_link_state(
             ack_cfg, r.look, wx, r.doppler_rate, rng);
         acked = error_model_.receive(ack_state, ack_cfg.lora,
@@ -780,7 +800,7 @@ class BatchSimulator {
       pop_head(n);
       return;
     }
-    if (nodes_.head_attempts[n] > nodes_.max_retx[n]) {
+    if (nodes_.head_attempts[n] > nodes_.max_retx(n)) {
       ++packets_abandoned_;
       pop_head(n);
     }
@@ -1001,26 +1021,29 @@ class BatchSimulator {
 };
 
 // =====================================================================
-// Sharded population-scale engine.
+// Parallel population-scale engine.
 // =====================================================================
 //
 // Above cfg.trace_node_threshold nodes the run is executed as a
-// deterministic parallel shard schedule instead of a serial event loop:
+// per-event dependency graph (sim::EventGraph) instead of a serial event
+// loop:
 //
-//   * the run is cut into fixed kSliceSeconds time slices; inside each
-//     slice, satellites whose footprints overlap a common ground
-//     location (transitively) form one shard (sim::ConflictScheduler).
-//     Shards of a slice share no mutable state — node SoA rows, active
-//     lists, per-location report heaps, window cursors and satellite
-//     buffers are all owned by exactly one shard — so they run
-//     concurrently on sim::ThreadPool with a barrier between slices;
-//   * inside a shard, the member satellites' timeline entries are k-way
-//     merged by (time, satellite index), so the per-location event
-//     order is a pure function of the config;
+//   * every timeline entry (beacon slot or ground-station flush) is one
+//     event, ordered globally by (time, satellite, timeline index) — the
+//     order a serial elaboration would use;
+//   * an event's resources are what it mutates: its satellite (buffer,
+//     counters, congestion cache) and, for a beacon slot, exactly the
+//     locations whose contact window with that satellite contains the
+//     slot time (node SoA rows, active lists, report heaps). A slot
+//     materializes and considers only those locations;
+//   * an event runs on sim::ThreadPool once the previous event on each of
+//     its resources has finished, so every resource sees its events in
+//     the serial order. Events are fed to the executor in graphs of at
+//     most kChunkEvents, run one after another;
 //   * every random draw comes from a counter-based stream keyed by the
 //     globally unique timeline-entry id: a beacon slot seeds one Rng
 //     from derive_stream(slot_root, entry_id) shared by every draw the
-//     slot makes (in schedule-fixed iteration order), and a flush entry
+//     slot makes (in location-then-active-list order), and a flush entry
 //     seeds from derive_stream(flush_root, entry_id). Draw values
 //     therefore never depend on which thread ran what when;
 //   * results accumulate into per-satellite DtsCounters/DtsAggregates
@@ -1031,10 +1054,11 @@ class BatchSimulator {
 //
 // Consequence: DtsAggregates is bit-identical for every sim_threads
 // value (tests/test_dts_parallel.cpp asserts every histogram bin,
-// counter and residency mode for threads in {1, 2, 4, hw}).
-class ShardSimulator {
+// counter and residency mode for threads in {1, 2, 4, hw}, and pins the
+// output against a recorded golden file).
+class AggregateSimulator {
  public:
-  explicit ShardSimulator(const DtsNetworkConfig& cfg)
+  explicit AggregateSimulator(const DtsNetworkConfig& cfg)
       : cfg_(cfg),
         error_model_(cfg.error_model),
         backhaul_(cfg.delivery_backhaul),
@@ -1052,21 +1076,21 @@ class ShardSimulator {
   DtsNetworkResult run() {
     resolve_pool();
     build_timelines();
-    build_schedule();
-    execute();
+    sat_counters_.assign(satellites_.size(), DtsCounters{});
+    sat_agg_.assign(satellites_.size(), DtsAggregates{});
+    simulate();
     return assemble_result();
   }
 
  private:
-  /// Conflict-schedule granularity. Shorter slices split footprints
-  /// more finely (more parallelism) at the cost of more barriers; 600 s
-  /// is about one LEO footprint dwell, so a satellite rarely spans more
-  /// locations per slice than it actually covers per pass.
-  static constexpr double kSliceSeconds = 600.0;
   /// End-of-run reductions run over fixed node blocks (never
   /// thread-count-derived ranges) so double sums merge identically for
   /// any worker count.
   static constexpr std::size_t kNodeBlock = 8192;
+  /// Events per dependency graph. Graphs run one after another, which
+  /// keeps graph memory bounded on day-long million-node runs; a
+  /// boundary only costs the drain of the last chains before it.
+  static constexpr std::size_t kChunkEvents = std::size_t{1} << 16;
 
   [[nodiscard]] JulianDate jd_at(double t) const {
     return cfg_.start_jd + t / orbit::kSecondsPerDay;
@@ -1078,7 +1102,7 @@ class ShardSimulator {
   }
   [[nodiscard]] double gen_time_s(std::size_t n, std::uint64_t seq) const {
     return nodes_.phase_s[n] +
-           static_cast<double>(seq) * nodes_.interval_s[n];
+           static_cast<double>(seq) * nodes_.interval_s(n);
   }
 
   void resolve_pool() {
@@ -1133,9 +1157,8 @@ class ShardSimulator {
     active_.resize(locations_.size());
     active_pos_.assign(count, kNoActive);
 
-    // Per-location report heaps (the sharded split of the old global
-    // activation heap: a location is owned by one shard per slice, so
-    // its heap needs no lock).
+    // Per-location report heaps: a location is a graph resource, so its
+    // heap is only ever touched by one event at a time and needs no lock.
     loc_heap_.resize(locations_.size());
     for (std::size_t n = 0; n < count; ++n)
       if (nodes_.next_report_s[n] < duration_s_)
@@ -1173,21 +1196,16 @@ class ShardSimulator {
         gs_windows_[s][g] = std::move(windows[s][locations_.size() + g]);
     }
 
-    window_cursor_.assign(satellites_.size(),
-                          std::vector<std::uint32_t>(locations_.size(), 0));
-    loc_geo_.assign(locations_.size(), LocGeo{});
     background_cache_.assign(
         satellites_.size(),
         {std::numeric_limits<std::uint64_t>::max(), 0.0});
   }
 
   /// Same merged per-satellite timeline as the exact engine (beacon
-  /// ticks deduped, flushes stable-sorted behind beacons at ties), but
-  /// consumed as plain arrays by the shard schedule instead of event
-  /// chains.
+  /// ticks deduped, flushes stable-sorted behind beacons at ties),
+  /// flattened into arrays indexed by global entry id.
   void build_timelines() {
-    timeline_time_.resize(satellites_.size());
-    timeline_is_flush_.resize(satellites_.size());
+    entry_base_.assign(satellites_.size() + 1, 0);
     for (std::size_t s = 0; s < satellites_.size(); ++s) {
       const double phase =
           cfg_.beacon.period_s * static_cast<double>(s * 29 % 97) / 97.0;
@@ -1221,177 +1239,122 @@ class ShardSimulator {
         }
       }
 
-      std::vector<double>& times = timeline_time_[s];
-      std::vector<std::uint8_t>& kinds = timeline_is_flush_[s];
-      times.reserve(ticks.size() + flushes.size());
-      kinds.reserve(ticks.size() + flushes.size());
-      for (const double t : ticks) {
-        times.push_back(t);
-        kinds.push_back(0);
+      // Both lists are sorted and ticks come first in the stable order,
+      // so a merge that prefers ticks at equal times is the stable sort
+      // by (time, kind).
+      std::sort(flushes.begin(), flushes.end());
+      std::size_t i = 0, j = 0;
+      while (i < ticks.size() || j < flushes.size()) {
+        const bool tick = j == flushes.size() ||
+                          (i < ticks.size() && ticks[i] <= flushes[j]);
+        entry_time_.push_back(tick ? ticks[i++] : flushes[j++]);
+        entry_is_flush_.push_back(tick ? 0 : 1);
       }
-      for (const double t : flushes) {
-        times.push_back(t);
-        kinds.push_back(1);
-      }
-      std::vector<std::size_t> order(times.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t x, std::size_t y) {
-                         if (times[x] != times[y]) return times[x] < times[y];
-                         return kinds[x] < kinds[y];
-                       });
-      std::vector<double> st(times.size());
-      std::vector<std::uint8_t> sk(times.size());
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        st[i] = times[order[i]];
-        sk[i] = kinds[order[i]];
-      }
-      times = std::move(st);
-      kinds = std::move(sk);
+      entry_base_[s + 1] = entry_time_.size();
     }
-
-    entry_base_.assign(satellites_.size() + 1, 0);
-    for (std::size_t s = 0; s < satellites_.size(); ++s)
-      entry_base_[s + 1] = entry_base_[s] + timeline_time_[s].size();
+    entry_time_.shrink_to_fit();
+    entry_is_flush_.shrink_to_fit();
   }
 
-  [[nodiscard]] std::uint32_t slice_of(double t) const {
-    return static_cast<std::uint32_t>(t / kSliceSeconds);
-  }
+  struct WindowRef {
+    std::uint32_t loc;
+    std::uint32_t index;  ///< into node_windows_[s][loc]
+  };
 
-  void build_schedule() {
-    slice_count_ = slice_of(std::nextafter(duration_s_, 0.0)) + 1;
-    sim::ConflictScheduler sched(
-        static_cast<std::uint32_t>(satellites_.size()));
-
-    // Footprint touches: every (satellite, location) contact window
-    // claims its location for each slice the window overlaps; the same
-    // tuples feed the per-(slice, satellite) footprint location lists
-    // the slot loop iterates.
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-        slice_pairs(slice_count_);
+  /// Per satellite, its (location, window index) pairs in AOS order, for
+  /// the sweep that finds the locations in view at each beacon slot.
+  void index_windows() {
+    by_aos_.assign(satellites_.size(), {});
     for (std::size_t s = 0; s < satellites_.size(); ++s) {
-      for (std::size_t l = 0; l < locations_.size(); ++l) {
-        for (const ContactWindow& w : node_windows_[s][l]) {
-          const double a = std::max(
-              (w.aos_jd - cfg_.start_jd) * orbit::kSecondsPerDay, 0.0);
-          const double b = std::min(
-              (w.los_jd - cfg_.start_jd) * orbit::kSecondsPerDay,
-              std::nextafter(duration_s_, 0.0));
-          if (b < a) continue;
-          const std::uint32_t k1 =
-              std::min(slice_of(b), slice_count_ - 1);
-          for (std::uint32_t k = slice_of(a); k <= k1; ++k) {
-            sched.touch(k, static_cast<std::uint32_t>(s),
-                        static_cast<std::uint64_t>(l));
-            slice_pairs[k].emplace_back(
-                static_cast<std::uint32_t>(s),
-                static_cast<std::uint32_t>(l));
-          }
-        }
-      }
-    }
-    // Every timeline entry keeps its satellite in the slice even when no
-    // footprint touch links it (flush-only slices).
-    for (std::size_t s = 0; s < satellites_.size(); ++s)
-      for (const double t : timeline_time_[s])
-        sched.activate(slice_of(t), static_cast<std::uint32_t>(s));
-    schedule_ = sched.build();
-    if (schedule_.size() < slice_count_) schedule_.resize(slice_count_);
-
-    // Per-(slice, satellite) sorted footprint location lists.
-    slice_footprints_.assign(slice_count_, {});
-    for (std::uint32_t k = 0; k < slice_count_; ++k) {
-      auto& pairs = slice_pairs[k];
-      std::sort(pairs.begin(), pairs.end());
-      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-      auto& fps = slice_footprints_[k];
-      for (const auto& [s, l] : pairs) {
-        if (fps.empty() || fps.back().sat != s)
-          fps.push_back(SatFootprint{s, {}});
-        fps.back().locs.push_back(l);
-      }
-    }
-
-    // Per-satellite slice boundaries into the (time-sorted) timeline.
-    slice_begin_.assign(satellites_.size(), {});
-    for (std::size_t s = 0; s < satellites_.size(); ++s) {
-      std::vector<std::uint32_t>& bounds = slice_begin_[s];
-      bounds.assign(slice_count_ + 1,
-                    static_cast<std::uint32_t>(timeline_time_[s].size()));
-      std::uint32_t i = 0;
-      for (std::uint32_t k = 0; k < slice_count_; ++k) {
-        while (i < timeline_time_[s].size() &&
-               slice_of(timeline_time_[s][i]) < k)
-          ++i;
-        bounds[k] = i;
-      }
+      std::vector<WindowRef>& refs = by_aos_[s];
+      for (std::size_t l = 0; l < locations_.size(); ++l)
+        for (std::size_t w = 0; w < node_windows_[s][l].size(); ++w)
+          refs.push_back({static_cast<std::uint32_t>(l),
+                          static_cast<std::uint32_t>(w)});
+      std::sort(refs.begin(), refs.end(),
+                [&](const WindowRef& x, const WindowRef& y) {
+                  const JulianDate ax = window(s, x).aos_jd;
+                  const JulianDate ay = window(s, y).aos_jd;
+                  return ax != ay ? ax < ay : x.loc < y.loc;
+                });
     }
   }
 
-  void execute() {
-    sat_counters_.assign(satellites_.size(), DtsCounters{});
-    sat_agg_.assign(satellites_.size(), DtsAggregates{});
-    for (std::uint32_t k = 0; k < slice_count_; ++k) {
-      const auto& shards = schedule_[k].shards;
-      if (shards.empty()) continue;
-      total_shards_ += shards.size();
-      for (const auto& members : shards)
-        max_shard_members_ = std::max(max_shard_members_, members.size());
-      if (pool_ != nullptr && shards.size() > 1) {
-        pool_->parallel_for(shards.size(), [&](std::size_t si) {
-          run_shard(k, shards[si]);
-        });
-      } else {
-        for (const auto& members : shards) run_shard(k, members);
-      }
-    }
+  [[nodiscard]] const ContactWindow& window(std::size_t s,
+                                            const WindowRef& r) const {
+    return node_windows_[s][r.loc][r.index];
   }
 
-  [[nodiscard]] const std::vector<std::uint32_t>* footprint_locs(
-      std::uint32_t k, std::uint32_t s) const {
-    const auto& fps = slice_footprints_[k];
-    auto it = std::lower_bound(
-        fps.begin(), fps.end(), s,
-        [](const SatFootprint& f, std::uint32_t sat) { return f.sat < sat; });
-    if (it == fps.end() || it->sat != s) return nullptr;
-    return &it->locs;
+  /// Append the resource ids (sats + l) of every location whose contact
+  /// window with satellite `s` contains `jd`, ascending. Calls for one
+  /// satellite must come in nondecreasing `jd`: windows open as `jd`
+  /// passes their AOS and close once it passes their LOS.
+  void append_in_view(std::uint32_t s, JulianDate jd,
+                      std::vector<std::uint32_t>& res) {
+    const std::vector<WindowRef>& refs = by_aos_[s];
+    std::vector<WindowRef>& open = open_[s];
+    std::size_t& next = next_open_[s];
+    while (next < refs.size() && window(s, refs[next]).aos_jd <= jd)
+      open.push_back(refs[next++]);
+    std::erase_if(open, [&](const WindowRef& r) {
+      return window(s, r).los_jd < jd;
+    });
+    const std::size_t first = res.size();
+    for (const WindowRef& r : open)
+      res.push_back(static_cast<std::uint32_t>(satellites_.size() + r.loc));
+    std::sort(res.begin() + static_cast<std::ptrdiff_t>(first), res.end());
+    res.erase(std::unique(res.begin() + static_cast<std::ptrdiff_t>(first),
+                          res.end()),
+              res.end());
   }
 
-  /// K-way merge of the shard's member timelines over slice k, by
-  /// (time, satellite index) — the same total order a serial elaboration
-  /// of the whole slice would use.
-  void run_shard(std::uint32_t k, const std::vector<std::uint32_t>& members) {
-    struct Cursor {
-      std::uint32_t s, i, end;
-      const std::vector<std::uint32_t>* locs;
-    };
-    std::vector<Cursor> cursors;
-    cursors.reserve(members.size());
-    for (const std::uint32_t s : members) {
-      const std::uint32_t b = slice_begin_[s][k];
-      const std::uint32_t e = slice_begin_[s][k + 1];
-      if (b < e) cursors.push_back(Cursor{s, b, e, footprint_locs(k, s)});
-    }
-    while (!cursors.empty()) {
-      std::size_t best = 0;
-      for (std::size_t c = 1; c < cursors.size(); ++c) {
-        const double tb = timeline_time_[cursors[best].s][cursors[best].i];
-        const double tc = timeline_time_[cursors[c].s][cursors[c].i];
-        if (tc < tb || (tc == tb && cursors[c].s < cursors[best].s))
-          best = c;
+  /// Run every timeline entry as one graph event, in global (time,
+  /// satellite, index) order: a k-way merge of the satellite timelines
+  /// feeds graphs of at most kChunkEvents events. An event's resources
+  /// are its satellite (id s) and, for a beacon slot, each location l
+  /// (id sats + l) in view at the slot, ascending — the order the slot
+  /// visits them.
+  void simulate() {
+    const auto sats = static_cast<std::uint32_t>(satellites_.size());
+    index_windows();
+    open_.assign(sats, {});
+    next_open_.assign(sats, 0);
+
+    using Head = std::pair<double, std::uint32_t>;  // (time, satellite)
+    std::priority_queue<Head, std::vector<Head>, std::greater<>> heads;
+    std::vector<std::uint64_t> next(entry_base_.begin(),
+                                    entry_base_.end() - 1);
+    for (std::uint32_t s = 0; s < sats; ++s)
+      if (next[s] < entry_base_[s + 1]) heads.emplace(entry_time_[next[s]], s);
+
+    std::vector<std::uint64_t> gids;
+    std::vector<std::uint32_t> res;
+    while (!heads.empty()) {
+      sim::EventGraph graph(
+          static_cast<std::uint32_t>(sats + locations_.size()));
+      gids.clear();
+      while (!heads.empty() && gids.size() < kChunkEvents) {
+        const std::uint32_t s = heads.top().second;
+        heads.pop();
+        const std::uint64_t gid = next[s]++;
+        if (next[s] < entry_base_[s + 1])
+          heads.emplace(entry_time_[next[s]], s);
+        res.assign(1, s);
+        if (!entry_is_flush_[gid])
+          append_in_view(s, jd_at(entry_time_[gid]), res);
+        graph.add_event(res);
+        gids.push_back(gid);
       }
-      Cursor& cur = cursors[best];
-      const double t = timeline_time_[cur.s][cur.i];
-      const std::uint64_t gid = entry_base_[cur.s] + cur.i;
-      if (timeline_is_flush_[cur.s][cur.i])
-        flush_satellite(cur.s, gid, t);
-      else
-        beacon_slot(cur.s, gid, t, cur.locs);
-      if (++cur.i == cur.end) {
-        cursors[best] = cursors.back();
-        cursors.pop_back();
-      }
+      graph.run(pool_, [&](std::size_t e) {
+        const std::uint64_t gid = gids[e];
+        const std::span<const std::uint32_t> r = graph.resources(e);
+        if (entry_is_flush_[gid])
+          flush_satellite(r.front(), gid, entry_time_[gid]);
+        else
+          beacon_slot(r.front(), gid, entry_time_[gid], r.subspan(1));
+      });
+      events_ += graph.size();
+      chained_events_ += graph.critical_path();
     }
   }
 
@@ -1430,7 +1393,7 @@ class ShardSimulator {
       const std::uint64_t n = heap.top().second;
       heap.pop();
       generate_report(static_cast<std::size_t>(n), agg);
-      nodes_.next_report_s[n] += nodes_.interval_s[n];
+      nodes_.next_report_s[n] += nodes_.interval_s(n);
       if (nodes_.next_report_s[n] < duration_s_)
         heap.emplace(nodes_.next_report_s[n], n);
     }
@@ -1438,29 +1401,18 @@ class ShardSimulator {
 
   // --- beacon slot ----------------------------------------------------
 
-  /// Per-(slot entry) cached footprint geometry, stamped with the global
-  /// entry id so same-location nodes share one SGP4 propagation. A
-  /// location is only ever touched by its owning shard within a slice,
-  /// so the cache row is race-free.
-  struct LocGeo {
-    std::uint64_t stamp = 0;
-    bool in_footprint = false;
+  /// Footprint geometry of one (slot, location): one SGP4 propagation
+  /// shared by every node there, plus a second one a second later for the
+  /// Doppler rate when the satellite clears the visibility mask.
+  struct SlotGeo {
     bool masked = false;
     orbit::PassSample geo;
     double doppler_rate = 0.0;
   };
 
-  const LocGeo& loc_geometry(std::size_t s, std::size_t loc, JulianDate jd,
-                             std::uint64_t stamp) {
-    LocGeo& g = loc_geo_[loc];
-    if (g.stamp == stamp) return g;
-    g.stamp = stamp;
-    const std::vector<ContactWindow>& ws = node_windows_[s][loc];
-    std::uint32_t& cur = window_cursor_[s][loc];
-    while (cur < ws.size() && jd > ws[cur].los_jd) ++cur;
-    g.in_footprint =
-        cur < ws.size() && jd >= ws[cur].aos_jd && jd <= ws[cur].los_jd;
-    if (!g.in_footprint) return g;
+  [[nodiscard]] SlotGeo slot_geometry(std::size_t s, std::size_t loc,
+                                      JulianDate jd) const {
+    SlotGeo g;
     g.geo = orbit::sample_geometry(satellites_[s].propagator,
                                    locations_[loc], jd);
     g.masked = g.geo.look.elevation_deg < cfg_.visibility_mask_deg;
@@ -1476,6 +1428,31 @@ class ShardSimulator {
     return g;
   }
 
+  /// The beacon decode of one (slot, location, antenna type) with its
+  /// deterministic part evaluated once: per node only the fading draw,
+  /// the PER and the Bernoulli draw remain (bit-identical to
+  /// draw_link_state + ErrorModel::receive).
+  struct BeaconPrep {
+    channel::AntennaType antenna;
+    phy::PreparedLink link;
+    phy::PreparedReception rx;
+  };
+
+  const BeaconPrep& beacon_prep(channel::AntennaType antenna,
+                                const SlotGeo& g, channel::Weather wx,
+                                std::vector<BeaconPrep>& preps) const {
+    for (const BeaconPrep& p : preps)
+      if (p.antenna == antenna) return p;
+    phy::LinkConfig beacon_cfg = cfg_.downlink;
+    beacon_cfg.rx_antenna = antenna;
+    const phy::PreparedLink link(beacon_cfg, g.geo.look, wx, g.doppler_rate);
+    preps.push_back(BeaconPrep{
+        antenna, link,
+        error_model_.prepare(link.mean().doppler, beacon_cfg.lora,
+                             cfg_.beacon.payload_bytes)});
+    return preps.back();
+  }
+
   struct SlotResponder {
     std::size_t node;
     Transmission tx;
@@ -1486,21 +1463,17 @@ class ShardSimulator {
   };
 
   void consider_node(std::size_t n, double now, channel::Weather wx,
-                     const LocGeo& g, sim::Rng& rng, DtsCounters& ctr,
+                     const SlotGeo& g, const BeaconPrep& beacon,
+                     sim::Rng& rng, DtsCounters& ctr,
                      std::vector<SlotResponder>& responders) {
-    phy::LinkConfig beacon_cfg = cfg_.downlink;
-    beacon_cfg.rx_antenna = nodes_.antenna[n];
-    const phy::LinkState beacon_state = phy::draw_link_state(
-        beacon_cfg, g.geo.look, wx, g.doppler_rate, rng);
-    if (!error_model_.receive(beacon_state, beacon_cfg.lora,
-                              cfg_.beacon.payload_bytes, rng))
-      return;
+    const phy::LinkState beacon_state = beacon.link.draw(rng);
+    if (!beacon.rx.receive(beacon_state.snr_db, rng)) return;
     ++ctr.beacons_heard;
     if (nodes_.empty(n)) return;
     if (now < nodes_.busy_until[n]) return;  // half-duplex: radio busy
 
     phy::LinkConfig up_cfg = cfg_.uplink;
-    up_cfg.tx_antenna = nodes_.antenna[n];
+    up_cfg.tx_antenna = nodes_.antenna(n);
     if (cfg_.adaptive_sf) {
       up_cfg.lora.sf = phy::choose_spreading_factor(
           beacon_state.snr_db + cfg_.adr_uplink_advantage_db, 6.0);
@@ -1516,38 +1489,43 @@ class ShardSimulator {
   }
 
   void beacon_slot(std::uint32_t s, std::uint64_t gid, double t,
-                   const std::vector<std::uint32_t>* locs) {
+                   std::span<const std::uint32_t> loc_resources) {
     DtsCounters& ctr = sat_counters_[s];
     DtsAggregates& agg = sat_agg_[s];
     ++ctr.beacons_sent;
-    if (locs == nullptr) return;  // no footprint this slice
     const JulianDate jd = jd_at(t);
     const channel::Weather wx = weather_at(t);
 
     // One counter-based stream per slot entry, shared by every draw the
     // slot makes (beacon decodes, offsets, uplink resolution). The slot
-    // runs entirely inside its owning shard and iterates locations and
-    // active lists in schedule-fixed order, so the draw sequence is a
-    // pure function of the config — and the mt19937_64 init cost is
-    // amortized over the whole footprint instead of paid per node.
+    // owns its satellite and locations while it runs and iterates
+    // locations and active lists in a config-fixed order, so the draw
+    // sequence is a pure function of the config — and the mt19937_64
+    // init cost is amortized over the whole footprint instead of paid
+    // per node.
     sim::Rng rng(sim::derive_stream(slot_root_, gid));
 
     std::vector<SlotResponder> responders;
-    for (const std::uint32_t loc : *locs) {
+    std::vector<BeaconPrep> preps;
+    for (const std::uint32_t r : loc_resources) {
+      const std::size_t loc = r - satellites_.size();
       materialize_loc(loc, t, agg);
       if (active_[loc].empty()) continue;
-      const LocGeo& g = loc_geometry(s, loc, jd, gid + 1);
-      if (!g.in_footprint || g.masked) continue;
+      const SlotGeo g = slot_geometry(s, loc, jd);
+      if (g.masked) continue;
+      preps.clear();
       // Snapshot: consider_node never mutates active lists.
       for (const std::uint32_t n : active_[loc])
-        consider_node(n, t, wx, g, rng, ctr, responders);
+        consider_node(n, t, wx, g,
+                      beacon_prep(nodes_.antenna(n), g, wx, preps), rng, ctr,
+                      responders);
     }
     if (responders.empty()) return;
 
     double max_toa = 0.0;
     for (const SlotResponder& r : responders) {
       const double toa = phy::time_on_air_s(r.uplink_params,
-                                            nodes_.payload_bytes[r.node]);
+                                            nodes_.payload_bytes(r.node));
       max_toa = std::max(max_toa, toa);
     }
     std::vector<double> offsets;
@@ -1563,7 +1541,7 @@ class ShardSimulator {
     for (std::size_t i = 0; i < responders.size(); ++i) {
       SlotResponder& r = responders[i];
       const double toa = phy::time_on_air_s(r.uplink_params,
-                                            nodes_.payload_bytes[r.node]);
+                                            nodes_.payload_bytes(r.node));
       r.tx = Transmission{static_cast<std::uint64_t>(r.node),
                           t + offsets[i], t + offsets[i] + toa,
                           r.uplink_state.rssi_dbm};
@@ -1613,7 +1591,7 @@ class ShardSimulator {
 
     const bool decoded =
         survived && error_model_.receive(r.uplink_state, r.uplink_params,
-                                         nodes_.payload_bytes[n], rng);
+                                         nodes_.payload_bytes(n), rng);
 
     bool acked = false;
     if (decoded) {
@@ -1624,7 +1602,7 @@ class ShardSimulator {
         StoredPacket sp;
         sp.packet.sequence = seq;
         sp.packet.node_index = static_cast<std::int64_t>(n);
-        sp.packet.payload_bytes = nodes_.payload_bytes[n];
+        sp.packet.payload_bytes = nodes_.payload_bytes(n);
         sp.packet.generated_at = gen_time_s(n, seq);
         sp.satellite_rx_at = r.tx.end;
         sp.satellite_index = static_cast<std::int64_t>(s);
@@ -1641,7 +1619,7 @@ class ShardSimulator {
         ++ctr.acks_sent;
         phy::LinkConfig ack_cfg = cfg_.downlink;
         ack_cfg.tx_power_dbm += cfg_.ack_power_boost_db;
-        ack_cfg.rx_antenna = nodes_.antenna[n];
+        ack_cfg.rx_antenna = nodes_.antenna(n);
         const phy::LinkState ack_state = phy::draw_link_state(
             ack_cfg, r.look, wx, r.doppler_rate, rng);
         acked = error_model_.receive(ack_state, ack_cfg.lora,
@@ -1654,7 +1632,7 @@ class ShardSimulator {
       pop_head(n, agg);
       return;
     }
-    if (nodes_.head_attempts[n] > nodes_.max_retx[n]) {
+    if (nodes_.head_attempts[n] > nodes_.max_retx(n)) {
       ++agg.packets_abandoned;
       pop_head(n, agg);
     }
@@ -1692,7 +1670,7 @@ class ShardSimulator {
     if (satellites_[s].buffer.size() == 0) return;
     DtsAggregates& agg = sat_agg_[s];
     // One deterministic stream per flush entry: the global entry id is
-    // unique across satellites, so draw values are independent of shard
+    // unique across satellites, so draw values are independent of event
     // scheduling and of every other satellite's flush activity.
     sim::Rng rng(sim::derive_stream(flush_root_, gid));
     const std::vector<StoredPacket> drained =
@@ -1762,7 +1740,7 @@ class ShardSimulator {
       const std::size_t hi = std::min(lo + kNodeBlock, nodes_.count);
       for (std::size_t n = lo; n < hi; ++n) {
         for (double t = nodes_.next_report_s[n]; t < duration_s_;
-             t += nodes_.interval_s[n]) {
+             t += nodes_.interval_s(n)) {
           const std::uint64_t seq = nodes_.next_seq[n]++;
           ++acc.generated;
           if (gen_time_s(n, seq) <= eligible_before_) ++acc.eligible;
@@ -1808,11 +1786,7 @@ class ShardSimulator {
   }
 
   [[nodiscard]] std::size_t timeline_bytes() const {
-    std::size_t b = 0;
-    for (std::size_t s = 0; s < timeline_time_.size(); ++s)
-      b += timeline_time_[s].capacity() * sizeof(double) +
-           timeline_is_flush_[s].capacity();
-    return b;
+    return entry_time_.size() * sizeof(double) + entry_is_flush_.size();
   }
 
   void publish_metrics(const DtsNetworkResult& result) {
@@ -1849,15 +1823,14 @@ class ShardSimulator {
     m.gauge("net.dts.scale.peak_rss_bytes")
         .set(static_cast<double>(obs::process_peak_rss_bytes()));
 
-    // Shard-schedule shape: how much concurrency the conflict schedule
-    // actually exposed on this config.
+    // Event-graph shape: how much concurrency this config exposes. The
+    // speedup over one thread is at most 1 / critical_path_share.
     m.gauge("net.dts.parallel.threads").set(static_cast<double>(threads_));
-    m.gauge("net.dts.parallel.slices")
-        .set(static_cast<double>(slice_count_));
-    m.gauge("net.dts.parallel.shards")
-        .set(static_cast<double>(total_shards_));
-    m.gauge("net.dts.parallel.max_shard_members")
-        .set(static_cast<double>(max_shard_members_));
+    m.gauge("net.dts.parallel.events").set(static_cast<double>(events_));
+    m.gauge("net.dts.parallel.critical_path_share")
+        .set(events_ == 0 ? 0.0
+                          : static_cast<double>(chained_events_) /
+                                static_cast<double>(events_));
   }
 
   DtsNetworkConfig cfg_;
@@ -1878,29 +1851,26 @@ class ShardSimulator {
   std::vector<orbit::Geodetic> locations_;
   std::vector<std::vector<std::vector<ContactWindow>>> node_windows_;
   std::vector<std::vector<std::vector<ContactWindow>>> gs_windows_;
-  std::vector<std::vector<std::uint32_t>> window_cursor_;
-  std::vector<LocGeo> loc_geo_;
   std::vector<std::pair<std::uint64_t, double>> background_cache_;
 
-  std::vector<std::vector<double>> timeline_time_;
-  std::vector<std::vector<std::uint8_t>> timeline_is_flush_;
-  /// Prefix sums of timeline sizes: entry_base_[s] + i is the globally
-  /// unique id of entry i of satellite s.
+  // Timelines flattened by global entry id: entry_base_[s] + i is the id
+  // of entry i of satellite s.
+  std::vector<double> entry_time_;
+  std::vector<std::uint8_t> entry_is_flush_;
   std::vector<std::uint64_t> entry_base_;
 
-  // Conflict schedule.
-  std::uint32_t slice_count_ = 0;
-  std::vector<sim::SliceShards> schedule_;
-  struct SatFootprint {
-    std::uint32_t sat;
-    std::vector<std::uint32_t> locs;
-  };
-  std::vector<std::vector<SatFootprint>> slice_footprints_;
-  std::vector<std::vector<std::uint32_t>> slice_begin_;
-  std::size_t total_shards_ = 0;
-  std::size_t max_shard_members_ = 0;
+  // In-view sweep state: per satellite, its windows in AOS order, the
+  // next one to open and the ones open at the last beacon slot.
+  std::vector<std::vector<WindowRef>> by_aos_;
+  std::vector<std::size_t> next_open_;
+  std::vector<std::vector<WindowRef>> open_;
 
-  // Per-location state (owned by one shard per slice).
+  /// Events run, and the sum over graphs of their longest dependency
+  /// chains: graphs run one after another, so their chains add up.
+  std::size_t events_ = 0;
+  std::size_t chained_events_ = 0;
+
+  // Per-location state (a graph resource: one event at a time).
   std::vector<std::vector<std::uint32_t>> active_;
   std::vector<std::uint32_t> active_pos_;
   using LocHeap =
@@ -1909,7 +1879,7 @@ class ShardSimulator {
                           std::greater<>>;
   std::vector<LocHeap> loc_heap_;
 
-  // Shard-local accumulators, merged in satellite order after the run.
+  // Per-satellite accumulators, merged in satellite order after the run.
   std::vector<DtsCounters> sat_counters_;
   std::vector<DtsAggregates> sat_agg_;
 };
@@ -1926,7 +1896,7 @@ DtsNetworkResult run_dts_network_batched(const DtsNetworkConfig& cfg) {
     phases.stop();
     return result;
   }
-  ShardSimulator sim(cfg);
+  AggregateSimulator sim(cfg);
   phases.phase("simulate");
   DtsNetworkResult result = sim.run();
   phases.stop();

@@ -48,7 +48,7 @@ void validate_dts_config(const DtsNetworkConfig& cfg);
 /// Tail exclusion actually applied to eligible-packet accounting:
 /// cfg.aggregate_tail_exclusion_s clamped to half the run duration, so a
 /// short probe run still reports a nonzero eligible population. Shared by
-/// every engine (legacy, exact batched, sharded aggregate).
+/// every engine (legacy, exact batched, parallel aggregate).
 [[nodiscard]] double effective_tail_exclusion_s(const DtsNetworkConfig& cfg);
 
 /// Derive the streaming aggregates from a full per-packet trace, so

@@ -169,9 +169,9 @@ struct DtsNetworkConfig {
   /// Pass-prediction fan-out (orbit::predict_passes_batch): 0 = all
   /// hardware threads, 1 = exact serial legacy path.
   unsigned pass_threads = 0;
-  /// Worker threads for the sharded aggregate-mode DES itself (runs above
+  /// Worker threads for the parallel aggregate-mode DES itself (runs above
   /// trace_node_threshold nodes): 0 = all hardware threads, 1 = run the
-  /// shard schedule inline on the calling thread. Results are
+  /// event graph inline on the calling thread. Results are
   /// thread-count-invariant BY CONSTRUCTION — every aggregate counter,
   /// histogram bin and residency mode is bit-identical for any value
   /// (enforced by tests/test_dts_parallel.cpp); the knob only changes
@@ -246,11 +246,11 @@ struct DtsAggregates {
   [[nodiscard]] double mean_end_to_end_s() const;
   [[nodiscard]] double mean_wait_s() const;
 
-  /// Fold a shard-local partial into this aggregate: counter addition,
-  /// double-sum addition, stats::Histogram::merge on each histogram and
-  /// per-mode residency addition. The parallel engine calls this in a
-  /// fixed shard order after its barrier, which is what keeps the merged
-  /// double sums bit-identical across thread counts.
+  /// Fold a partial into this aggregate: counter addition, double-sum
+  /// addition, stats::Histogram::merge on each histogram and per-mode
+  /// residency addition. The parallel engine calls this in satellite
+  /// order after the run, which is what keeps the merged double sums
+  /// bit-identical across thread counts.
   void merge_from(const DtsAggregates& other);
 };
 

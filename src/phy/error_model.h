@@ -28,6 +28,24 @@ struct ErrorModelConfig {
   double fec_strength = 0.5;
 };
 
+/// ErrorModel::receive with everything but the SNR evaluated once for
+/// one (Doppler profile, radio parameters, payload): the Doppler penalty,
+/// the demod threshold and the symbol count. receive(snr, rng) performs
+/// the same floating-point operations and the same Bernoulli draw as
+/// ErrorModel::receive on a link with that SNR and profile.
+class PreparedReception {
+ public:
+  [[nodiscard]] bool receive(double snr_db, sinet::sim::Rng& rng) const;
+
+ private:
+  friend class ErrorModel;
+  ErrorModelConfig cfg_;
+  double penalty_db_ = 0.0;
+  double threshold_db_ = 0.0;
+  double fec_keep_ = 1.0;  ///< 1 - fraction of symbol errors FEC absorbs
+  int n_sym_ = 0;
+};
+
 class ErrorModel {
  public:
   explicit ErrorModel(const ErrorModelConfig& cfg = {});
@@ -42,6 +60,11 @@ class ErrorModel {
   /// Bernoulli outcome. Returns true when the packet is received.
   [[nodiscard]] bool receive(const LinkState& link, const LoraParams& params,
                              int payload_bytes, sinet::sim::Rng& rng) const;
+
+  /// Evaluate the SNR-independent part of receive() once.
+  [[nodiscard]] PreparedReception prepare(const DopplerProfile& doppler,
+                                          const LoraParams& params,
+                                          int payload_bytes) const;
 
   [[nodiscard]] const ErrorModelConfig& config() const noexcept {
     return cfg_;

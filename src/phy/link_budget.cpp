@@ -48,12 +48,24 @@ LinkState draw_link_state(const LinkConfig& cfg,
                           const sinet::orbit::LookAngles& look,
                           sinet::channel::Weather weather,
                           double doppler_rate_hz_s, sinet::sim::Rng& rng) {
-  LinkState st = base_state(cfg, look, weather);
-  const sinet::channel::FadingModel fading(cfg.fading);
-  const double fade_db = fading.draw_db(rng, look.elevation_deg, weather);
+  return PreparedLink(cfg, look, weather, doppler_rate_hz_s).draw(rng);
+}
+
+PreparedLink::PreparedLink(const LinkConfig& cfg,
+                           const sinet::orbit::LookAngles& look,
+                           sinet::channel::Weather weather,
+                           double doppler_rate_hz_s)
+    : mean_(base_state(cfg, look, weather)),
+      fading_(sinet::channel::FadingModel(cfg.fading)
+                  .prepare(look.elevation_deg, weather)) {
+  mean_.doppler.rate_hz_per_s = doppler_rate_hz_s;
+}
+
+LinkState PreparedLink::draw(sinet::sim::Rng& rng) const {
+  LinkState st = mean_;
+  const double fade_db = fading_.draw_db(rng);
   st.rssi_dbm += fade_db;
   st.snr_db += fade_db;
-  st.doppler.rate_hz_per_s = doppler_rate_hz_s;
   return st;
 }
 

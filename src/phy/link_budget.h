@@ -55,4 +55,26 @@ struct LinkState {
                                         double doppler_rate_hz_s,
                                         sinet::sim::Rng& rng);
 
+/// draw_link_state split at the fading draw: the constructor evaluates
+/// everything that depends only on (config, geometry, weather, Doppler
+/// rate) — the mean link budget and the fading constants — and draw()
+/// adds one fading realization. draw(rng) returns exactly what
+/// draw_link_state returns for the same arguments and stream state, so
+/// callers drawing many links at one geometry (every node at one
+/// location under one beacon) pay the libm work once.
+class PreparedLink {
+ public:
+  PreparedLink(const LinkConfig& cfg, const sinet::orbit::LookAngles& look,
+               sinet::channel::Weather weather, double doppler_rate_hz_s);
+
+  [[nodiscard]] LinkState draw(sinet::sim::Rng& rng) const;
+
+  /// The fading-free state, Doppler rate included.
+  [[nodiscard]] const LinkState& mean() const noexcept { return mean_; }
+
+ private:
+  LinkState mean_;
+  sinet::channel::PreparedFading fading_;
+};
+
 }  // namespace sinet::phy

@@ -18,6 +18,15 @@
 
 namespace sinet::sim {
 
+/// Deterministic constants of a Rician amplitude draw with mean power 1:
+/// the line-of-sight amplitude sqrt(K/(K+1)) and the per-axis scatter
+/// sigma sqrt(1/(2(K+1))).
+struct RicianShape {
+  double los = 0.0;
+  double sigma = 0.0;
+  [[nodiscard]] static RicianShape from_k_db(double k_factor_db);
+};
+
 /// One random stream. Thin, value-semantic wrapper over a 64-bit engine
 /// with the distribution helpers the simulator needs.
 class Rng {
@@ -46,6 +55,10 @@ class Rng {
   double rayleigh(double sigma);
   /// Rician fading amplitude with K-factor (dB) and mean power 1.
   double rician_amplitude(double k_factor_db);
+  /// rician_amplitude with the K-factor constants already evaluated:
+  /// rician_amplitude(RicianShape::from_k_db(k)) == rician_amplitude(k)
+  /// for the same stream state (two normal draws either way).
+  double rician_amplitude(const RicianShape& shape);
 
   std::mt19937_64& engine() noexcept { return engine_; }
 

@@ -298,15 +298,17 @@ TEST(DtsAggregateMode, PublishesBoundedMemoryGauges) {
   ASSERT_TRUE(s.gauges.count("net.dts.scale.records_bytes"));
   EXPECT_EQ(s.gauges.at("net.dts.scale.records_bytes").value, 0.0)
       << "aggregate mode must not allocate per-packet records";
-  // The sharded engine has no event queue at all — timelines are plain
-  // arrays walked by the conflict schedule.
+  // The aggregate engine has no event queue at all — timelines are plain
+  // arrays run as a dependency graph.
   EXPECT_FALSE(s.gauges.count("sim.event_queue.max_pending"));
   ASSERT_TRUE(s.gauges.count("net.dts.parallel.threads"));
   EXPECT_GE(s.gauges.at("net.dts.parallel.threads").value, 1.0);
-  ASSERT_TRUE(s.gauges.count("net.dts.parallel.slices"));
-  EXPECT_GT(s.gauges.at("net.dts.parallel.slices").value, 0.0);
-  ASSERT_TRUE(s.gauges.count("net.dts.parallel.shards"));
-  EXPECT_GT(s.gauges.at("net.dts.parallel.shards").value, 0.0);
+  ASSERT_TRUE(s.gauges.count("net.dts.parallel.events"));
+  EXPECT_GE(s.gauges.at("net.dts.parallel.events").value,
+            static_cast<double>(res.counters.beacons_sent));
+  ASSERT_TRUE(s.gauges.count("net.dts.parallel.critical_path_share"));
+  EXPECT_GT(s.gauges.at("net.dts.parallel.critical_path_share").value, 0.0);
+  EXPECT_LE(s.gauges.at("net.dts.parallel.critical_path_share").value, 1.0);
   EXPECT_GT(res.agg.reports_generated, 0u);
 }
 

@@ -277,3 +277,80 @@ TEST(LinkBudget, DrawAddsFadingAndDopplerRate) {
 }
 
 }  // namespace
+
+namespace {
+
+using sinet::channel::AntennaType;
+using sinet::channel::Weather;
+
+TEST(PreparedLink, BeaconDecodeMatchesPlainPathBitForBit) {
+  // The population engine's hoisted beacon decode must be the same
+  // computation as draw_link_state + ErrorModel::receive: same SNR and
+  // RSSI bits, same outcome, and the stream left in the same state.
+  sinet::sim::Rng gen(20240611);
+  const ErrorModel model;
+  const AntennaType antennas[] = {
+      AntennaType::kQuarterWaveMonopole, AntennaType::kFiveEighthsWaveMonopole,
+      AntennaType::kDipole, AntennaType::kIsotropic};
+  const Weather weathers[] = {Weather::kSunny, Weather::kCloudy,
+                              Weather::kRainy};
+  int heard = 0;
+  int lost = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    LinkConfig cfg;
+    cfg.rx_antenna = antennas[gen.uniform_int(0, 3)];
+    cfg.lora.sf = static_cast<SpreadingFactor>(gen.uniform_int(7, 12));
+    cfg.lora.cr = static_cast<CodingRate>(gen.uniform_int(1, 4));
+    cfg.tx_power_dbm = gen.uniform(0.0, 30.0);
+    sinet::orbit::LookAngles look;
+    look.elevation_deg = gen.uniform(-5.0, 90.0);
+    look.azimuth_deg = gen.uniform(0.0, 360.0);
+    look.range_km = gen.uniform(400.0, 3500.0);
+    look.range_rate_km_s = gen.uniform(-7.5, 7.5);
+    const Weather wx = weathers[gen.uniform_int(0, 2)];
+    const double rate = gen.uniform(-300.0, 300.0);
+    const int payload = static_cast<int>(gen.uniform_int(0, 255));
+    const std::uint64_t seed = gen.next_u64();
+
+    const PreparedLink link(cfg, look, wx, rate);
+    const PreparedReception rx =
+        model.prepare(link.mean().doppler, cfg.lora, payload);
+    sinet::sim::Rng plain(seed);
+    sinet::sim::Rng prepared(seed);
+    for (int node = 0; node < 8; ++node) {
+      const LinkState a = draw_link_state(cfg, look, wx, rate, plain);
+      const bool got_a = model.receive(a, cfg.lora, payload, plain);
+      const LinkState b = link.draw(prepared);
+      const bool got_b = rx.receive(b.snr_db, prepared);
+      ASSERT_EQ(a.snr_db, b.snr_db) << "trial " << trial;
+      ASSERT_EQ(a.rssi_dbm, b.rssi_dbm) << "trial " << trial;
+      ASSERT_EQ(a.doppler.shift_hz, b.doppler.shift_hz);
+      ASSERT_EQ(a.doppler.rate_hz_per_s, b.doppler.rate_hz_per_s);
+      ASSERT_EQ(got_a, got_b) << "trial " << trial;
+      (got_a ? heard : lost) += 1;
+    }
+    ASSERT_EQ(plain.next_u64(), prepared.next_u64()) << "trial " << trial;
+  }
+  // The random geometry spans both sides of the decode threshold.
+  EXPECT_GT(heard, 100);
+  EXPECT_GT(lost, 100);
+}
+
+TEST(PreparedLink, FadingAndRicianPreparedFormsMatch) {
+  const sinet::channel::FadingModel fading;
+  for (const double el : {-3.0, 0.0, 7.5, 19.9, 20.0, 65.0}) {
+    for (const Weather wx : {Weather::kSunny, Weather::kRainy}) {
+      sinet::sim::Rng a(77);
+      sinet::sim::Rng b(77);
+      const sinet::channel::PreparedFading prep = fading.prepare(el, wx);
+      for (int i = 0; i < 16; ++i)
+        ASSERT_EQ(fading.draw_db(a, el, wx), prep.draw_db(b));
+      const double k_db = fading.k_factor_db(el);
+      ASSERT_EQ(a.rician_amplitude(k_db),
+                b.rician_amplitude(sinet::sim::RicianShape::from_k_db(k_db)));
+      ASSERT_EQ(a.next_u64(), b.next_u64());
+    }
+  }
+}
+
+}  // namespace

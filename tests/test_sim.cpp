@@ -2,15 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "sim/event_graph.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
-#include "sim/shard.h"
 #include "sim/simulation.h"
+#include "sim/thread_pool.h"
 
 namespace {
 
@@ -350,78 +353,147 @@ TEST(Rng, DeriveStreamDistinctAcrossBaseAndCounter) {
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
 }
 
-TEST(ConflictScheduler, DisjointResourcesStaySeparateShards) {
-  sinet::sim::ConflictScheduler sched(3);
-  sched.touch(0, 0, 100);
-  sched.touch(0, 1, 200);
-  sched.touch(0, 2, 300);
-  const auto slices = sched.build();
-  ASSERT_EQ(slices.size(), 1u);
-  ASSERT_EQ(slices[0].shards.size(), 3u);
-  EXPECT_EQ(slices[0].shards[0], (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(slices[0].shards[1], (std::vector<std::uint32_t>{1}));
-  EXPECT_EQ(slices[0].shards[2], (std::vector<std::uint32_t>{2}));
+// --- EventGraph ---------------------------------------------------------
+// The parallel DtS engine's executor. Its contract: every resource sees
+// its events in serial order on any pool, and the executor never hangs.
+// The randomized, nested and throwing cases also run under TSan
+// (tools/run_sanitizers.sh tsan preset).
+
+using sinet::sim::EventGraph;
+using sinet::sim::ThreadPool;
+
+/// `events` events over `resources` resources, each touching 1..4
+/// distinct random resources.
+EventGraph random_graph(std::uint32_t resources, std::size_t events,
+                        std::uint64_t seed) {
+  EventGraph g(resources);
+  Rng rng(seed);
+  std::vector<std::uint32_t> touch;
+  for (std::size_t e = 0; e < events; ++e) {
+    touch.clear();
+    const auto k = rng.uniform_int(1, 4);
+    while (static_cast<std::int64_t>(touch.size()) < k) {
+      const auto r = static_cast<std::uint32_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(resources) - 1));
+      if (std::find(touch.begin(), touch.end(), r) == touch.end())
+        touch.push_back(r);
+    }
+    g.add_event(touch);
+  }
+  return g;
 }
 
-TEST(ConflictScheduler, SharedResourceMergesTransitively) {
-  // 0-1 share resource A, 1-2 share resource B → one shard {0,1,2}.
-  sinet::sim::ConflictScheduler sched(4);
-  sched.touch(0, 0, 7);
-  sched.touch(0, 1, 7);
-  sched.touch(0, 1, 8);
-  sched.touch(0, 2, 8);
-  sched.touch(0, 3, 9);
-  const auto slices = sched.build();
-  ASSERT_EQ(slices.size(), 1u);
-  ASSERT_EQ(slices[0].shards.size(), 2u);
-  EXPECT_EQ(slices[0].shards[0], (std::vector<std::uint32_t>{0, 1, 2}));
-  EXPECT_EQ(slices[0].shards[1], (std::vector<std::uint32_t>{3}));
+TEST(EventGraph, RandomTouchSetsKeepSerialOrderPerResource) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const EventGraph g = random_graph(24, 3000, seed);
+    // Serial reference: each resource's events in global order.
+    std::vector<std::vector<std::uint32_t>> expected(24);
+    for (std::size_t e = 0; e < g.size(); ++e)
+      for (const std::uint32_t r : g.resources(e))
+        expected[r].push_back(static_cast<std::uint32_t>(e));
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                   std::to_string(threads));
+      ThreadPool pool(threads);
+      // Unsynchronized per-resource logs: the graph must serialize every
+      // resource's events, so a scheduling bug is both a wrong log and a
+      // data race under TSan.
+      std::vector<std::vector<std::uint32_t>> log(24);
+      std::vector<std::atomic<int>> runs(g.size());
+      g.run(&pool, [&](std::size_t e) {
+        runs[e].fetch_add(1, std::memory_order_relaxed);
+        for (const std::uint32_t r : g.resources(e)) {
+          log[r].push_back(static_cast<std::uint32_t>(e));
+          // A little work per touch so events really overlap.
+          volatile double x = 0.0;
+          for (int i = 0; i < 200; ++i) x = x + std::sqrt(i + r);
+        }
+      });
+      for (std::size_t e = 0; e < g.size(); ++e)
+        ASSERT_EQ(runs[e].load(), 1) << "event " << e;
+      EXPECT_EQ(log, expected);
+    }
+  }
 }
 
-TEST(ConflictScheduler, SlicesAreIndependent) {
-  // The same two members conflict in slice 0 but not in slice 1.
-  sinet::sim::ConflictScheduler sched(2);
-  sched.touch(0, 0, 5);
-  sched.touch(0, 1, 5);
-  sched.touch(1, 0, 5);
-  sched.touch(1, 1, 6);
-  const auto slices = sched.build();
-  ASSERT_EQ(slices.size(), 2u);
-  ASSERT_EQ(slices[0].shards.size(), 1u);
-  EXPECT_EQ(slices[0].shards[0], (std::vector<std::uint32_t>{0, 1}));
-  ASSERT_EQ(slices[1].shards.size(), 2u);
+TEST(EventGraph, CallFromInsidePoolTasksCompletes) {
+  const EventGraph g = random_graph(8, 500, 11);
+  // From inside a task of a 1-thread pool: the call runs inline.
+  {
+    ThreadPool pool(1);
+    std::atomic<std::size_t> ran{0};
+    pool.parallel_for(2, [&](std::size_t) {
+      g.run(&pool, [&](std::size_t) { ran.fetch_add(1); });
+    });
+    EXPECT_EQ(ran.load(), 2 * g.size());
+  }
+  // Every worker of a 2-thread pool inside its own run: the dispatch
+  // loops go through nested parallel_for, which has the calling workers
+  // run the queued loops themselves.
+  {
+    ThreadPool pool(2);
+    std::vector<std::atomic<std::size_t>> ran(4);
+    pool.parallel_for(4, [&](std::size_t i) {
+      g.run(&pool, [&](std::size_t) { ran[i].fetch_add(1); });
+    });
+    for (const auto& r : ran) EXPECT_EQ(r.load(), g.size());
+  }
 }
 
-TEST(ConflictScheduler, ActivateKeepsMemberWithoutResources) {
-  // A member with timeline entries but no footprint touches still shows
-  // up as a singleton shard (flush-only slices must run).
-  sinet::sim::ConflictScheduler sched(2);
-  sched.activate(0, 1);
-  const auto slices = sched.build();
-  ASSERT_EQ(slices.size(), 1u);
-  ASSERT_EQ(slices[0].shards.size(), 1u);
-  EXPECT_EQ(slices[0].shards[0], (std::vector<std::uint32_t>{1}));
+TEST(EventGraph, ThrowingEventPropagatesWithoutHanging) {
+  for (const unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThreadPool pool(threads);
+    // One chain on resource 0 plus independent events on 1..7: the
+    // chain's successors of the failing event must never start.
+    EventGraph g(8);
+    for (std::uint32_t e = 0; e < 400; ++e) {
+      const std::uint32_t r = e % 2 == 0 ? 0 : 1 + e % 7;
+      g.add_event(std::vector<std::uint32_t>{r});
+    }
+    std::vector<std::atomic<int>> runs(g.size());
+    EXPECT_THROW(g.run(&pool,
+                       [&](std::size_t e) {
+                         runs[e].fetch_add(1);
+                         if (e == 100) throw std::runtime_error("boom");
+                       }),
+                 std::runtime_error);
+    for (std::size_t e = 102; e < g.size(); e += 2)
+      EXPECT_EQ(runs[e].load(), 0) << "successor " << e << " ran";
+    // The pool is still usable afterwards.
+    std::atomic<std::size_t> ran{0};
+    g.run(&pool, [&](std::size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), g.size());
+  }
 }
 
-TEST(ConflictScheduler, DeterministicShardOrder) {
-  // Shards are ordered by their smallest member and members ascend —
-  // the fixed merge order the parallel engine's determinism relies on.
-  sinet::sim::ConflictScheduler sched(5);
-  sched.touch(0, 4, 1);
-  sched.touch(0, 2, 1);
-  sched.touch(0, 3, 2);
-  sched.touch(0, 0, 3);
-  const auto slices = sched.build();
-  ASSERT_EQ(slices[0].shards.size(), 3u);
-  EXPECT_EQ(slices[0].shards[0], (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(slices[0].shards[1], (std::vector<std::uint32_t>{2, 4}));
-  EXPECT_EQ(slices[0].shards[2], (std::vector<std::uint32_t>{3}));
+TEST(EventGraph, CriticalPathCountsLongestChain) {
+  EventGraph chain(1);
+  for (int e = 0; e < 5; ++e) chain.add_event(std::vector<std::uint32_t>{0});
+  EXPECT_EQ(chain.critical_path(), 5u);
+
+  EventGraph disjoint(5);
+  for (std::uint32_t e = 0; e < 5; ++e)
+    disjoint.add_event(std::vector<std::uint32_t>{e});
+  EXPECT_EQ(disjoint.critical_path(), 1u);
+
+  // 0:{a} 1:{b} 2:{a,b} 3:{c} 4:{b,c} -> 0/1 -> 2 -> 4 is 3 long.
+  EventGraph diamond(3);
+  for (const auto& touch : std::vector<std::vector<std::uint32_t>>{
+           {0}, {1}, {0, 1}, {2}, {1, 2}})
+    diamond.add_event(touch);
+  EXPECT_EQ(diamond.critical_path(), 3u);
+  EXPECT_EQ(diamond.size(), 5u);
+  EXPECT_EQ(std::vector<std::uint32_t>(diamond.resources(4).begin(),
+                                       diamond.resources(4).end()),
+            (std::vector<std::uint32_t>{1, 2}));
 }
 
-TEST(ConflictScheduler, OutOfRangeMemberThrows) {
-  sinet::sim::ConflictScheduler sched(2);
-  EXPECT_THROW(sched.touch(0, 2, 0), std::out_of_range);
-  EXPECT_THROW(sched.activate(0, 2), std::out_of_range);
+TEST(EventGraph, RejectsBadResources) {
+  EventGraph g(2);
+  EXPECT_THROW(g.add_event(std::vector<std::uint32_t>{2}), std::out_of_range);
+  EXPECT_THROW(g.add_event(std::vector<std::uint32_t>{1, 1}),
+               std::out_of_range);
 }
 
 }  // namespace

@@ -165,7 +165,7 @@ wall = scale.get("wall_ms", {})
 if "Legacy/2000" in wall and wall.get("Batched/2000"):
     scale["speedup_vs_legacy_2000"] = round(
         wall["Legacy/2000"] / wall["Batched/2000"], 2)
-# Thread-scaling of the sharded engine: speedup of each Parallel arm
+# Thread-scaling of the parallel engine: speedup of each Parallel arm
 # over its own 1-thread reference at the same population.
 parallel_speedup = {}
 for arm, ms in wall.items():

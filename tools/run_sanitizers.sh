@@ -45,14 +45,21 @@ for p in "${presets[@]}"; do
   fi
   if [[ "$p" == tsan ]]; then
     # The parallel DtS engine's dedicated race hunt: 10k nodes on four
-    # co-located sites, four workers — the most footprint sharing the
-    # conflict scheduler can be handed. Runs again outside ctest so the
-    # stress case is never lost to a sharded/filtered ctest invocation.
+    # co-located sites, four workers — the most location sharing the
+    # event graph can be handed. Runs again outside ctest so the stress
+    # case is never lost to a filtered ctest invocation.
     echo "==== [$p] parallel DtS stress"
     if ! "build-$p/tests/test_dts_parallel" \
         --gtest_filter='DtsParallelStress.*'; then
       echo "==== [$p] parallel DtS stress FAILED" >&2
       failed+=("$p-dts-stress")
+    fi
+    # The engine's executor on its own: randomized resource sets on 1-,
+    # 2- and 4-thread pools, nested calls and a throwing event.
+    echo "==== [$p] event-graph executor"
+    if ! "build-$p/tests/test_sim" --gtest_filter='EventGraph.*'; then
+      echo "==== [$p] event-graph executor FAILED" >&2
+      failed+=("$p-event-graph")
     fi
   fi
 done
