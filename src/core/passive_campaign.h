@@ -44,10 +44,11 @@ struct PassiveCampaignConfig {
   /// set, beacons are only transmitted in sunlight (one of the paper's
   /// suspected loss causes, Appendix C "resource constraints").
   bool eclipse_gates_beacons = false;
-  /// Pass-prediction fan-out (orbit::predict_passes_batch): 0 = all
-  /// hardware threads, 1 = exact serial legacy path, N = N workers.
-  /// Only window *prediction* is parallel; the beacon/channel simulation
-  /// stays serial so RNG draws are untouched.
+  /// Worker threads for pass prediction and for the observe stage's
+  /// beacon geometry and link budgets: 0 = all hardware threads, 1 = run
+  /// everything inline (the exact serial legacy path), N = N workers. The
+  /// channel and demodulator draws always run in scheduled order on the
+  /// calling thread, so the output is the same for every value.
   unsigned threads = 0;
   /// Serve repeated window predictions from the global
   /// orbit::ContactWindowCache.

@@ -24,14 +24,20 @@ double ElevationSampler::elevation_deg(JulianDate jd) const {
   return elevation_from_ecef(frame_, ecef.position_km);
 }
 
-PassSample ElevationSampler::sample(JulianDate jd) const {
+LookAngles ElevationSampler::look(JulianDate jd, Vec3* ecef_km) const {
   const TemeState st = prop_->at_jd(jd);
   const EcefState ecef =
       teme_to_ecef_state(st.position_km, st.velocity_km_s, jd);
+  if (ecef_km != nullptr) *ecef_km = ecef.position_km;
+  return look_angles(frame_, ecef.position_km, ecef.velocity_km_s);
+}
+
+PassSample ElevationSampler::sample(JulianDate jd) const {
   PassSample s;
   s.jd = jd;
-  s.look = look_angles(frame_, ecef.position_km, ecef.velocity_km_s);
-  s.subsatellite_point = ecef_to_geodetic(ecef.position_km);
+  Vec3 ecef_km;
+  s.look = look(jd, &ecef_km);
+  s.subsatellite_point = ecef_to_geodetic(ecef_km);
   return s;
 }
 

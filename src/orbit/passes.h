@@ -70,9 +70,19 @@ class ElevationSampler {
   /// `prop` must outlive the sampler.
   ElevationSampler(const Sgp4& prop, const Geodetic& observer)
       : prop_(&prop), frame_(observer) {}
+  /// Same sampler over an observer frame the caller already built (one
+  /// frame per site serves every satellite and every instant).
+  ElevationSampler(const Sgp4& prop, const TopocentricFrame& frame)
+      : prop_(&prop), frame_(frame) {}
 
   /// Elevation (deg) of the satellite above the observer's horizon.
   [[nodiscard]] double elevation_deg(JulianDate jd) const;
+
+  /// Look angles only: sample() without the subsatellite point. When
+  /// `ecef_km` is non-null it receives the satellite's ECEF position, from
+  /// which ecef_to_geodetic gives sample()'s subsatellite point bit for
+  /// bit — callers that need the point for few samples defer it.
+  [[nodiscard]] LookAngles look(JulianDate jd, Vec3* ecef_km = nullptr) const;
 
   /// Full geometry sample (look angles + subsatellite point).
   [[nodiscard]] PassSample sample(JulianDate jd) const;

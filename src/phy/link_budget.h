@@ -64,6 +64,8 @@ struct LinkState {
 /// location under one beacon) pay the libm work once.
 class PreparedLink {
  public:
+  /// An empty link, for storage that a prepared link is assigned to.
+  PreparedLink() = default;
   PreparedLink(const LinkConfig& cfg, const sinet::orbit::LookAngles& look,
                sinet::channel::Weather weather, double doppler_rate_hz_s);
 

@@ -36,19 +36,26 @@ EventHandle EventQueue::schedule_chain(std::vector<SimTime> times,
       throw std::invalid_argument("EventQueue: chain times must be sorted");
 
   // Shared walker state: each fired link runs the visitor, then schedules
-  // the next link. The chain holds exactly one pending entry at a time.
+  // the next link. The chain holds exactly one pending entry at a time,
+  // and that entry holds the only reference to the state, so the visitor
+  // is released when the last link fires or when the queue is destroyed
+  // with a link still pending.
   struct Chain {
+    EventQueue* queue;
     std::vector<SimTime> times;
     std::function<void(std::size_t)> visit;
+
+    static void fire(const std::shared_ptr<Chain>& chain, std::size_t i) {
+      chain->visit(i);
+      if (i + 1 < chain->times.size())
+        chain->queue->schedule_at(chain->times[i + 1],
+                                  [chain, i] { fire(chain, i + 1); });
+    }
   };
-  auto chain = std::make_shared<Chain>(Chain{std::move(times), std::move(cb)});
-  auto fire = std::make_shared<std::function<void(std::size_t)>>();
-  *fire = [this, chain, fire](std::size_t i) {
-    chain->visit(i);
-    if (i + 1 < chain->times.size())
-      schedule_at(chain->times[i + 1], [fire, i] { (*fire)(i + 1); });
-  };
-  return schedule_at(chain->times.front(), [fire] { (*fire)(0); });
+  auto chain =
+      std::make_shared<Chain>(Chain{this, std::move(times), std::move(cb)});
+  const SimTime first = chain->times.front();
+  return schedule_at(first, [chain] { Chain::fire(chain, 0); });
 }
 
 bool EventQueue::cancel(EventHandle h) {

@@ -102,6 +102,18 @@ bool ThreadPool::try_run_one_task() {
   return true;
 }
 
+// Completion latch + per-index exception slots (rethrow lowest index so
+// failures are reproducible regardless of worker interleaving). The body
+// is owned by the shared state so queued tasks never dangle if the
+// caller's copy dies first.
+struct ThreadPool::Fanout::State {
+  std::mutex m;
+  std::condition_variable done_cv;
+  std::size_t remaining = 0;
+  std::vector<std::exception_ptr> errors;
+  std::function<void(std::size_t)> body;
+};
+
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
@@ -109,22 +121,16 @@ void ThreadPool::parallel_for(std::size_t n,
     body(0);
     return;
   }
+  parallel_for_async(n, body).wait();
+}
 
-  // Completion latch + per-index exception slots (rethrow lowest index so
-  // failures are reproducible regardless of worker interleaving). The body
-  // is copied into the shared state so queued tasks never dangle if the
-  // caller's reference dies first.
-  struct State {
-    std::mutex m;
-    std::condition_variable done_cv;
-    std::size_t remaining;
-    std::vector<std::exception_ptr> errors;
-    std::function<void(std::size_t)> body;
-  };
-  auto state = std::make_shared<State>();
+ThreadPool::Fanout ThreadPool::parallel_for_async(
+    std::size_t n, std::function<void(std::size_t)> body) {
+  if (n == 0) return Fanout(this, nullptr);
+  auto state = std::make_shared<Fanout::State>();
   state->remaining = n;
   state->errors.assign(n, nullptr);
-  state->body = body;
+  state->body = std::move(body);
 
   for (std::size_t i = 0; i < n; ++i) {
     submit([state, i] {
@@ -137,8 +143,23 @@ void ThreadPool::parallel_for(std::size_t n,
       if (--state->remaining == 0) state->done_cv.notify_all();
     });
   }
+  return Fanout(this, std::move(state));
+}
 
-  if (on_worker_thread()) {
+ThreadPool::Fanout::~Fanout() {
+  // Without an earlier wait() (the owner unwinding, say) a task's
+  // exception has nobody to go to; what must hold is that no task still
+  // uses memory the owner is about to free.
+  try {
+    wait();
+  } catch (...) {
+  }
+}
+
+void ThreadPool::Fanout::wait() {
+  if (!state_) return;
+  const std::shared_ptr<State> state = std::move(state_);
+  if (pool_->on_worker_thread()) {
     // Nested call: this worker is the thread that would run the queued
     // tasks, so blocking on done_cv could wait forever (it always does on
     // a 1-thread pool). Help drain the queue instead; once it is empty,
@@ -149,7 +170,7 @@ void ThreadPool::parallel_for(std::size_t n,
         std::lock_guard<std::mutex> lock(state->m);
         if (state->remaining == 0) break;
       }
-      if (try_run_one_task()) continue;
+      if (pool_->try_run_one_task()) continue;
       std::unique_lock<std::mutex> lock(state->m);
       state->done_cv.wait(lock, [&] { return state->remaining == 0; });
       break;
@@ -159,8 +180,17 @@ void ThreadPool::parallel_for(std::size_t n,
     state->done_cv.wait(lock, [&] { return state->remaining == 0; });
   }
 
+  // Take the first exception and release every stored one on this
+  // thread. A worker may drop the last reference to the state; had it
+  // still held exceptions, their release there would be ordered only by
+  // reference counts inside the C++ runtime, which ThreadSanitizer
+  // cannot see, and it reports the caught exception's destruction as a
+  // race.
+  std::exception_ptr first;
   for (const std::exception_ptr& e : state->errors)
-    if (e) std::rethrow_exception(e);
+    if (e && !first) first = e;
+  state->errors.clear();
+  if (first) std::rethrow_exception(first);
 }
 
 unsigned ThreadPool::hardware_threads() noexcept {

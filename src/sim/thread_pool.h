@@ -58,6 +58,37 @@ class ThreadPool {
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
+  /// A fan-out started by parallel_for_async. wait() blocks until every
+  /// index has run and rethrows as parallel_for does; the destructor
+  /// waits too (dropping any exception), so the body may write into state
+  /// owned by the caller as long as that state outlives the handle.
+  class Fanout {
+   public:
+    Fanout(Fanout&& other) noexcept = default;
+    Fanout& operator=(Fanout&&) = delete;
+    Fanout(const Fanout&) = delete;
+    Fanout& operator=(const Fanout&) = delete;
+    ~Fanout();
+
+    /// Block until done; rethrow the lowest-index exception. Later calls
+    /// return at once.
+    void wait();
+
+   private:
+    friend class ThreadPool;
+    struct State;
+    Fanout(ThreadPool* pool, std::shared_ptr<State> state)
+        : pool_(pool), state_(std::move(state)) {}
+
+    ThreadPool* pool_;
+    std::shared_ptr<State> state_;
+  };
+
+  /// parallel_for without the wait: queue body(0..n-1) and return at
+  /// once, so the caller can work while the pool runs the indices.
+  [[nodiscard]] Fanout parallel_for_async(
+      std::size_t n, std::function<void(std::size_t)> body);
+
   /// True when the calling thread is one of this pool's workers.
   [[nodiscard]] bool on_worker_thread() const noexcept;
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -192,6 +193,36 @@ TEST(EventQueueStress, ChainKeepsOnePendingEntryForMillionTicks) {
   EXPECT_TRUE(in_order);
   EXPECT_EQ(q.max_pending(), 1u) << "a chain must never fan out";
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueStress, ChainReleasesVisitorWhenDrainedOrDestroyed) {
+  // The visitor (and everything it captures) must be freed once the
+  // chain can no longer fire: after its last link ran, and when the queue
+  // is destroyed with a link still pending.
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  {
+    EventQueue q;
+    q.schedule_chain({1.0, 2.0, 3.0},
+                     [held = token](std::size_t) { ++*held; });
+    q.run_all();
+    EXPECT_EQ(*token, 3);
+  }
+  token.reset();
+  EXPECT_TRUE(watch.expired()) << "drained chain kept its visitor alive";
+
+  auto pending_token = std::make_shared<int>(0);
+  const std::weak_ptr<int> pending_watch = pending_token;
+  {
+    EventQueue q;
+    q.schedule_chain({1.0, 2.0, 3.0},
+                     [held = pending_token](std::size_t) { ++*held; });
+    pending_token.reset();
+    q.run_until(1.5);  // one link fired, the second is pending
+    EXPECT_FALSE(pending_watch.expired());
+  }
+  EXPECT_TRUE(pending_watch.expired())
+      << "destroyed queue kept a pending chain's visitor alive";
 }
 
 TEST(EventQueueStress, ChainRejectsUnsortedTimes) {

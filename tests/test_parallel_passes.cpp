@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <random>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/scenario.h"
 #include "orbit/constellation.h"
+#include "orbit/geodetic.h"
 #include "orbit/passes.h"
 #include "sim/thread_pool.h"
 
@@ -54,6 +58,41 @@ TEST(ThreadPool, RethrowsLowestIndexException) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "task 5");
   }
+}
+
+TEST(ThreadPool, AsyncFanoutRunsEveryIndexOnce) {
+  sim::ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(100);
+  auto fanout = pool.parallel_for_async(
+      hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  fanout.wait();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  fanout.wait();  // a second wait returns at once
+}
+
+TEST(ThreadPool, AsyncFanoutRethrowsAndDestructorWaits) {
+  sim::ThreadPool pool(2);
+  auto failing = pool.parallel_for_async(8, [](std::size_t i) {
+    if (i == 6) throw std::runtime_error("task 6");
+    if (i == 3) throw std::runtime_error("task 3");
+  });
+  try {
+    failing.wait();
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 3");
+  }
+
+  std::atomic<int> done{0};
+  {
+    auto pending = pool.parallel_for_async(32, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      done.fetch_add(1);
+    });
+  }  // destroyed without wait(): must still block until every index ran
+  EXPECT_EQ(done.load(), 32);
+  auto empty = pool.parallel_for_async(0, [](std::size_t) {});
+  empty.wait();
 }
 
 TEST(ThreadPool, SharedPoolIsUsable) {
@@ -165,6 +204,40 @@ TEST(ElevationSampler, MatchesNaiveFramePath) {
     EXPECT_EQ(s.look.range_km, naive.look.range_km);
     EXPECT_EQ(s.look.range_rate_km_s, naive.look.range_rate_km_s);
     EXPECT_EQ(sampler.elevation_deg(jd), s.look.elevation_deg);
+  }
+}
+
+TEST(ElevationSampler, LookMatchesSampleGeometry) {
+  // look() is sample() without the subsatellite point; the point itself
+  // must follow bit for bit from the ECEF position look() reports.
+  const JulianDate epoch = core::campaign_epoch_jd();
+  std::mt19937_64 gen(20250301);
+  std::uniform_real_distribution<double> lat(-80.0, 80.0);
+  std::uniform_real_distribution<double> lon(-180.0, 180.0);
+  std::uniform_real_distribution<double> alt(0.0, 3.0);
+  std::uniform_real_distribution<double> day(0.0, 7.0);
+  std::vector<Sgp4> props;
+  for (const char* name : {"Tianqi", "FOSSA", "PICO", "CSTP"})
+    for (const Tle& tle : generate_tles(paper_constellation(name), epoch))
+      props.emplace_back(tle);
+  std::uniform_int_distribution<std::size_t> pick(0, props.size() - 1);
+  for (int i = 0; i < 500; ++i) {
+    const Geodetic site{lat(gen), lon(gen), alt(gen)};
+    const Sgp4& prop = props[pick(gen)];
+    const JulianDate jd = epoch + day(gen);
+    const ElevationSampler sampler(prop, TopocentricFrame(site));
+    Vec3 ecef_km;
+    const LookAngles look = sampler.look(jd, &ecef_km);
+    const PassSample ref = sample_geometry(prop, site, jd);
+    EXPECT_EQ(look.elevation_deg, ref.look.elevation_deg);
+    EXPECT_EQ(look.azimuth_deg, ref.look.azimuth_deg);
+    EXPECT_EQ(look.range_km, ref.look.range_km);
+    EXPECT_EQ(look.range_rate_km_s, ref.look.range_rate_km_s);
+    EXPECT_EQ(sampler.look(jd).range_rate_km_s, look.range_rate_km_s);
+    const Geodetic sub = ecef_to_geodetic(ecef_km);
+    EXPECT_EQ(sub.altitude_km, ref.subsatellite_point.altitude_km);
+    EXPECT_EQ(sub.latitude_deg, ref.subsatellite_point.latitude_deg);
+    EXPECT_EQ(sub.longitude_deg, ref.subsatellite_point.longitude_deg);
   }
 }
 
