@@ -32,7 +32,6 @@
 // report written on the normal path), everything else flushes the
 // registry with an `interrupted` info key and exits 128+signo.
 #include <pthread.h>
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -82,8 +81,37 @@ std::string g_metrics_path;
 std::string g_command;
 
 // Live server, when `serve` is running: the first SIGINT/SIGTERM turns
-// into a graceful drain instead of an exit.
-std::atomic<svc::Server*> g_server{nullptr};
+// into a graceful drain instead of an exit. Read, cleared and used only
+// under g_server_mutex, so request_stop() never runs on a Server that
+// cmd_serve has started to destroy.
+std::mutex g_server_mutex;
+svc::Server* g_server = nullptr;
+
+/// Ask the live server (if any) to drain and forget it, so a second
+/// signal takes the exit path. Returns false when no server was live.
+bool stop_live_server() {
+  std::lock_guard<std::mutex> lock(g_server_mutex);
+  if (g_server == nullptr) return false;
+  g_server->request_stop();
+  g_server = nullptr;
+  return true;
+}
+
+/// Publishes a Server to the signal watcher for its lifetime: the
+/// destructor clears g_server under the mutex before the Server it
+/// names goes out of scope (declare the guard after the Server).
+struct LiveServer {
+  explicit LiveServer(svc::Server& server) {
+    std::lock_guard<std::mutex> lock(g_server_mutex);
+    g_server = &server;
+  }
+  ~LiveServer() {
+    std::lock_guard<std::mutex> lock(g_server_mutex);
+    g_server = nullptr;
+  }
+  LiveServer(const LiveServer&) = delete;
+  LiveServer& operator=(const LiveServer&) = delete;
+};
 
 const char* signal_name(int sig) {
   return sig == SIGINT ? "SIGINT" : sig == SIGTERM ? "SIGTERM" : "signal";
@@ -110,13 +138,9 @@ void signal_watcher(sigset_t set) {
   for (;;) {
     int sig = 0;
     if (sigwait(&set, &sig) != 0) return;
-    svc::Server* server = g_server.exchange(nullptr);
-    if (server != nullptr) {
-      // serve: begin graceful drain; main() writes the report after
-      // wait() returns. A second signal falls through to the exit path.
-      server->request_stop();
-      continue;
-    }
+    // serve: begin graceful drain; main() writes the report after
+    // wait() returns. A second signal falls through to the exit path.
+    if (stop_live_server()) continue;
     write_metrics_report(signal_name(sig));
     std::fflush(nullptr);
     std::_Exit(128 + sig);
@@ -655,7 +679,7 @@ int cmd_serve(int argc, char** argv) {
   obs::MetricsRegistry& reg = g_metrics != nullptr ? *g_metrics : local;
   svc::PassService service(sopts, &reg);
   svc::Server server(service, ropts, &reg);
-  g_server.store(&server);
+  const LiveServer live(server);
   std::printf("serve.port=%d\n", server.port());
   std::printf("serve.satellites=%zu\n", service.satellite_count());
   std::printf("serve.horizon_hours=%g\n", sopts.horizon_hours);
@@ -672,12 +696,10 @@ int cmd_serve(int argc, char** argv) {
       std::unique_lock<std::mutex> lock(timer_mutex);
       timer_cv.wait_for(lock, std::chrono::duration<double>(max_seconds),
                         [&] { return timer_cancel; });
-      svc::Server* mine = g_server.exchange(nullptr);
-      if (mine != nullptr) mine->request_stop();
+      (void)stop_live_server();
     });
 
   server.wait();
-  g_server.store(nullptr);
   if (timer.joinable()) {
     {
       std::lock_guard<std::mutex> lock(timer_mutex);
@@ -778,13 +800,13 @@ int cmd_loadgen(int argc, char** argv) {
 int main(int argc, char** argv) {
   // Route SIGINT/SIGTERM through the sigwait() watcher: blocked here
   // before any thread exists, so every later thread inherits the mask
-  // and the watcher is the sole consumer.
+  // and the watcher is the sole consumer. A signal that arrives before
+  // the watcher starts stays pending until it does.
   sigset_t sigs;
   sigemptyset(&sigs);
   sigaddset(&sigs, SIGINT);
   sigaddset(&sigs, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
-  std::thread(signal_watcher, sigs).detach();
 
   // Strip the global flags (--metrics, --propagation-mode) before
   // subcommand dispatch so every subcommand keeps its positional
@@ -825,6 +847,9 @@ int main(int argc, char** argv) {
 
   const std::string cmd = argv[1];
   g_command = cmd;
+  // Started only now: the watcher reads g_metrics, g_metrics_path and
+  // g_command, which are final from here on.
+  std::thread(signal_watcher, sigs).detach();
   int rc = 2;
   try {
     if (cmd == "passes") rc = cmd_passes(argc, argv);

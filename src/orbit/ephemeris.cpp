@@ -758,9 +758,9 @@ std::size_t RollingEphemeris::resident_bytes() const noexcept {
   return bytes;
 }
 
-std::vector<ContactWindow> RollingEphemeris::scan_satellite(
+PairScanState RollingEphemeris::start_scan(
     std::size_t satellite, const GridObserver& observer,
-    const PassPredictionOptions& opts) const {
+    const PassPredictionOptions& opts, ObserverCullGeometry& geometry) const {
   if (satellite >= satellites_.size())
     throw std::out_of_range("RollingEphemeris: satellite index out of range");
   if (chunks_.empty())
@@ -774,7 +774,6 @@ std::vector<ContactWindow> RollingEphemeris::scan_satellite(
                           ? opts.min_elevation_deg
                           : observer.min_elevation_deg;
   // Same per-pair cull setup as scan_pass_pairs.
-  ObserverCullGeometry geometry;
   double gamma_vis = kPi;
   double omega_max = 0.0;
   bool cull_enabled = false;
@@ -790,13 +789,32 @@ std::vector<ContactWindow> RollingEphemeris::scan_satellite(
 
   PairScanState p(*satellites_[satellite], observer.location, mask, &geometry,
                   gamma_vis, omega_max, cull_enabled, satellite);
-  const RollingView view{this};
+  p.init(RollingView{this}, base_index());
+  return p;
+}
+
+std::vector<ContactWindow> RollingEphemeris::scan_satellite(
+    std::size_t satellite, const GridObserver& observer,
+    const PassPredictionOptions& opts) const {
+  ObserverCullGeometry geometry;
+  PairScanState p = start_scan(satellite, observer, opts, geometry);
   const std::size_t end = next_index_;
-  p.init(view, base_index());
-  p.scan(view, end, end, step_days_, opts_.coarse_step_s,
+  p.scan(RollingView{this}, end, end, step_days_, opts_.coarse_step_s,
          opts.refine_tolerance_s);
   p.finalize(end_time());
   return std::move(p.windows);
+}
+
+bool RollingEphemeris::first_window_after(std::size_t satellite,
+                                          const GridObserver& observer,
+                                          const PassPredictionOptions& opts,
+                                          JulianDate after,
+                                          WindowBrackets& out) const {
+  ObserverCullGeometry geometry;
+  PairScanState p = start_scan(satellite, observer, opts, geometry);
+  return p.first_window_after(RollingView{this}, next_index_, end_time(),
+                              after, step_days_, opts_.coarse_step_s,
+                              opts.refine_tolerance_s, out);
 }
 
 std::vector<std::vector<ContactWindow>> RollingEphemeris::scan_observer(

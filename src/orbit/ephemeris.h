@@ -270,6 +270,26 @@ struct EphemerisScanOptions {
     const EphemerisScanOptions& scan_opts = {}, unsigned threads = 0,
     obs::MetricsRegistry* metrics = nullptr);
 
+struct PairScanState;
+
+/// One contact window with its transitions still coarse-grid brackets,
+/// as RollingEphemeris::first_window_after leaves it. `lo == hi` marks
+/// an exact time; otherwise refine_mask_crossing(sampler, lo, hi, mask,
+/// refine_tolerance_s) over the pair's ElevationSampler gives the time
+/// scan_satellite reports, bit for bit, and that time lies in [lo, hi].
+struct WindowBrackets {
+  JulianDate aos_lo = 0.0;
+  JulianDate aos_hi = 0.0;
+  JulianDate los_lo = 0.0;
+  JulianDate los_hi = 0.0;
+  /// refine_mask_crossing calls the walk made to settle LOS brackets
+  /// that straddled its `after`.
+  unsigned refinements = 0;
+
+  [[nodiscard]] bool aos_exact() const noexcept { return aos_lo == aos_hi; }
+  [[nodiscard]] bool los_exact() const noexcept { return los_lo == los_hi; }
+};
+
 /// Rolling-horizon shared-ephemeris store for the resident query service
 /// (src/svc, `sinet serve`): per-satellite ECEF states over a window
 /// [start_time(), end_time()] that advances incrementally. advance()
@@ -372,6 +392,16 @@ class RollingEphemeris {
   [[nodiscard]] std::vector<ContactWindow> scan_satellite(
       std::size_t satellite, const GridObserver& observer,
       const PassPredictionOptions& opts) const;
+  /// The first window of scan_satellite(satellite, observer, opts) whose
+  /// LOS is after `after`, found by walking the grid only to that
+  /// window's end. Its AOS, and its LOS unless that bracket straddled
+  /// `after`, are left as brackets (see WindowBrackets), so a caller
+  /// refines only the windows it needs. Returns false, with only
+  /// out.refinements set, when no window of the horizon ends after
+  /// `after`. Throws as scan_satellite does.
+  bool first_window_after(std::size_t satellite, const GridObserver& observer,
+                          const PassPredictionOptions& opts, JulianDate after,
+                          WindowBrackets& out) const;
   /// All satellites against one observer; result indexed by satellite.
   [[nodiscard]] std::vector<std::vector<ContactWindow>> scan_observer(
       const GridObserver& observer, const PassPredictionOptions& opts) const;
@@ -381,6 +411,13 @@ class RollingEphemeris {
 
   void append_chunk(sim::ThreadPool* pool, AdvanceStats* stats);
   [[nodiscard]] const Chunk& chunk_for(std::size_t k) const;
+  /// Checks a query against the horizon and builds its pair scan state,
+  /// culling against `geometry` (filled here; must outlive the state)
+  /// and initialised at the first retained sample.
+  [[nodiscard]] PairScanState start_scan(std::size_t satellite,
+                                         const GridObserver& observer,
+                                         const PassPredictionOptions& opts,
+                                         ObserverCullGeometry& geometry) const;
 
   std::vector<const Sgp4*> satellites_;
   Options opts_;

@@ -314,6 +314,24 @@ std::vector<ContactWindow> ContactWindowCache::get_or_compute(
   return windows;
 }
 
+std::optional<std::vector<ContactWindow>> ContactWindowCache::find(
+    const Tle& tle, const Geodetic& observer, JulianDate jd_start,
+    JulianDate jd_end, const PassPredictionOptions& opts,
+    PropagationMode mode_slot) {
+  const Key key =
+      make_key(tle, observer, jd_start, jd_end, opts,
+               static_cast<double>(static_cast<int>(mode_slot)));
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    ++misses_;
+    return std::nullopt;
+  }
+  ++hits_;
+  touch(it);
+  return it->second.windows;
+}
+
 void ContactWindowCache::touch(std::map<Key, Entry>::iterator it) {
   recency_.splice(recency_.end(), recency_, it->second.recency);
 }

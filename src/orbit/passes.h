@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -223,6 +224,16 @@ class ContactWindowCache {
       JulianDate jd_end, const PassPredictionOptions& opts,
       PropagationMode mode_slot,
       const std::function<std::vector<ContactWindow>()>& compute);
+
+  /// Probe only: the cached windows for get_or_compute's key, or nullopt
+  /// when no finished entry holds it (an in-flight computation is not
+  /// waited on). Counts a hit or a miss like get_or_compute and refreshes
+  /// a hit's recency, but never computes or inserts, so a caller that
+  /// answers a miss some cheaper way leaves the cache as it was.
+  [[nodiscard]] std::optional<std::vector<ContactWindow>> find(
+      const Tle& tle, const Geodetic& observer, JulianDate jd_start,
+      JulianDate jd_end, const PassPredictionOptions& opts,
+      PropagationMode mode_slot);
 
   struct Stats {
     std::uint64_t hits = 0;

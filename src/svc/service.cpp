@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -132,13 +133,12 @@ std::string PassService::handle_line(const std::string& line) {
   if (metrics_ != nullptr) metrics_->counter("svc.requests").add(1);
 
   std::string response;
+  const char* type = nullptr;  // set once the line parses
   try {
     const Request req = parse_request(line);
+    type = request_type_name(req.type);
     if (metrics_ != nullptr)
-      metrics_
-          ->counter(std::string("svc.requests.") +
-                    request_type_name(req.type))
-          .add(1);
+      metrics_->counter(std::string("svc.requests.") + type).add(1);
     response = handle(req);
   } catch (const ProtocolError& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
@@ -171,6 +171,11 @@ std::string PassService::handle_line(const std::string& line) {
     // hi = 250 ms keeps every sane SLO threshold below the overflow
     // bucket (see obs::snapshot_quantile's gate contract).
     metrics_->histogram("svc.request_latency_ms", 0.0, 250.0, 500).record(ms);
+    if (type != nullptr)
+      metrics_
+          ->histogram(std::string("svc.request_latency_ms.") + type, 0.0,
+                      250.0, 500)
+          .record(ms);
   }
   return response;
 }
@@ -210,33 +215,111 @@ std::string PassService::handle_next_pass(const Request& req) {
       std::isnan(req.after_unix_s) ? now_jd()
                                    : orbit::unix_to_julian(req.after_unix_s),
       h_start, h_end);
+  orbit::PassPredictionOptions popts;
+  popts.min_elevation_deg = mask;
+  popts.coarse_step_s = opts_.step_s;
+  orbit::GridObserver grid_observer;
+  grid_observer.location = req.observer;
 
-  bool found = false;
-  std::size_t best_sat = 0;
-  orbit::ContactWindow best{};
+  // Each satellite's first window with LOS after `after`: whole from the
+  // cache when that satellite's windows are there, otherwise from a grid
+  // walk that stops at that window and leaves its transitions unrefined.
+  // Nothing is inserted: filling the cache would cost the whole-horizon
+  // refinement this answer does not need (passes_in_range fills it).
+  struct Candidate {
+    std::size_t sat = 0;
+    orbit::WindowBrackets brackets;
+    std::optional<orbit::ContactWindow> cached;
+  };
+  std::vector<Candidate> candidates;
+  candidates.reserve(propagators_.size());
+  std::uint64_t cached_sats = 0;
+  std::uint64_t refinements = 0;
   for (std::size_t s = 0; s < propagators_.size(); ++s) {
-    const std::vector<orbit::ContactWindow> windows =
-        windows_for(s, req.observer, mask, h_start, h_end);
-    for (const orbit::ContactWindow& w : windows) {
-      if (w.los_jd <= after_jd) continue;  // already over
-      if (!found || w.aos_jd < best.aos_jd) {
-        found = true;
-        best = w;
-        best_sat = s;
-      }
-      break;  // windows are chronological per satellite
+    Candidate c;
+    c.sat = s;
+    if (const auto windows = cache_.find(tles_[s], req.observer, h_start,
+                                         h_end, popts, opts_.mode)) {
+      ++cached_sats;
+      const auto it = std::find_if(
+          windows->begin(), windows->end(),
+          [&](const orbit::ContactWindow& w) { return w.los_jd > after_jd; });
+      if (it == windows->end()) continue;
+      c.cached = *it;
+      c.brackets.aos_lo = c.brackets.aos_hi = it->aos_jd;
+      candidates.push_back(c);
+      continue;
+    }
+    const bool found = rolling_->first_window_after(s, grid_observer, popts,
+                                                    after_jd, c.brackets);
+    refinements += c.brackets.refinements;
+    if (found) candidates.push_back(c);
+  }
+
+  // The earliest AOS wins, the lowest satellite index on a tie. A
+  // refined AOS never precedes its bracket, so refining in order of the
+  // lower bounds can stop at the first bound past the best AOS so far.
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return a.brackets.aos_lo != b.brackets.aos_lo
+                         ? a.brackets.aos_lo < b.brackets.aos_lo
+                         : a.sat < b.sat;
+            });
+  const orbit::TopocentricFrame frame(req.observer);
+  const Candidate* best = nullptr;
+  orbit::JulianDate best_aos = 0.0;
+  for (const Candidate& c : candidates) {
+    if (best != nullptr && c.brackets.aos_lo > best_aos) break;
+    orbit::JulianDate aos = c.brackets.aos_lo;
+    if (!c.brackets.aos_exact()) {
+      ++refinements;
+      aos = orbit::refine_mask_crossing(
+          orbit::ElevationSampler(propagators_[c.sat], frame),
+          c.brackets.aos_lo, c.brackets.aos_hi, mask,
+          popts.refine_tolerance_s);
+    }
+    if (best == nullptr || aos < best_aos ||
+        (aos == best_aos && c.sat < best->sat)) {
+      best = &c;
+      best_aos = aos;
     }
   }
 
-  if (!found)
+  orbit::ContactWindow w;
+  if (best != nullptr && best->cached) {
+    w = *best->cached;
+  } else if (best != nullptr) {
+    const orbit::ElevationSampler sampler(propagators_[best->sat], frame);
+    w.aos_jd = best_aos;
+    w.los_jd = best->brackets.los_lo;
+    if (!best->brackets.los_exact()) {
+      ++refinements;
+      w.los_jd = orbit::refine_mask_crossing(
+          sampler, best->brackets.los_lo, best->brackets.los_hi, mask,
+          popts.refine_tolerance_s);
+    }
+    ++refinements;
+    const auto [tca, elev] =
+        orbit::refine_max_elevation(sampler, w.aos_jd, w.los_jd);
+    w.tca_jd = tca;
+    w.max_elevation_deg = elev;
+  }
+  if (metrics_ != nullptr) {
+    metrics_->counter("svc.next_pass.cached_sats").add(cached_sats);
+    metrics_->counter("svc.next_pass.scanned_sats")
+        .add(propagators_.size() - cached_sats);
+    metrics_->counter("svc.next_pass.refinements").add(refinements);
+  }
+
+  if (best == nullptr)
     return next_pass_response(req, nullptr, orbit::julian_to_unix(h_end));
   PassEntry entry;
-  entry.satellite = tles_[best_sat].name;
-  entry.catalog_number = tles_[best_sat].catalog_number;
-  entry.aos_unix_s = orbit::julian_to_unix(best.aos_jd);
-  entry.los_unix_s = orbit::julian_to_unix(best.los_jd);
-  entry.tca_unix_s = orbit::julian_to_unix(best.tca_jd);
-  entry.max_elevation_deg = best.max_elevation_deg;
+  entry.satellite = tles_[best->sat].name;
+  entry.catalog_number = tles_[best->sat].catalog_number;
+  entry.aos_unix_s = orbit::julian_to_unix(w.aos_jd);
+  entry.los_unix_s = orbit::julian_to_unix(w.los_jd);
+  entry.tca_unix_s = orbit::julian_to_unix(w.tca_jd);
+  entry.max_elevation_deg = w.max_elevation_deg;
   return next_pass_response(req, &entry, orbit::julian_to_unix(h_end));
 }
 

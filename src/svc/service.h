@@ -91,6 +91,10 @@ class PassService {
  private:
   [[nodiscard]] orbit::JulianDate now_jd() const;
   [[nodiscard]] std::string handle(const Request& req);
+  /// Probes the cache per satellite, walks the grid for the rest only
+  /// up to each one's first window ending after `after`, and refines
+  /// only what picking and reporting the winner needs (docs/SERVICE.md).
+  /// Inserts nothing into the cache.
   [[nodiscard]] std::string handle_next_pass(const Request& req);
   [[nodiscard]] std::string handle_passes_in_range(const Request& req);
   [[nodiscard]] std::string handle_visibility_now(const Request& req);

@@ -927,6 +927,90 @@ TEST(RollingEphemeris, CullOffAndCullOnAreBitIdentical) {
                          "cull arm sat " + std::to_string(s));
 }
 
+TEST(RollingEphemeris, FirstWindowAfterRefinesToScanSatelliteWindows) {
+  // The early-stopping walk must stop at the window scan_satellite would
+  // pick for each `after`, with brackets that refine to its numbers bit
+  // for bit — including on a retired horizon, where the walk starts at
+  // the first retained sample.
+  std::mt19937_64 rng(59);
+  std::vector<Tle> tles;
+  std::vector<Sgp4> props;
+  for (int i = 0; i < 4; ++i) {
+    tles.push_back(random_tle(rng, i * 17 + 3));
+    props.emplace_back(tles.back());
+  }
+  std::vector<const Sgp4*> sat_ptrs;
+  for (const Sgp4& p : props) sat_ptrs.push_back(&p);
+  const JulianDate anchor = core::campaign_epoch_jd();
+  orbit::RollingEphemeris::Options ropts;
+  ropts.chunk_samples = 128;
+  orbit::RollingEphemeris rolling(sat_ptrs, anchor, ropts);
+  (void)rolling.advance(anchor, anchor + 0.3);
+  (void)rolling.advance(anchor + 0.1, anchor + 0.6);
+  ASSERT_GT(rolling.base_index(), 0u);
+
+  const std::vector<GridObserver> sites{
+      GridObserver{Geodetic{22.3, 114.2, 0.05}},
+      GridObserver{Geodetic{60.17, 24.94, 0.0}, 25.0}};
+  PassPredictionOptions popts;
+  popts.min_elevation_deg = 5.0;
+  const double step_days = popts.coarse_step_s / orbit::kSecondsPerDay;
+  int found_cases = 0;
+  int refined_in_walk = 0;
+  for (std::size_t s = 0; s < sat_ptrs.size(); ++s) {
+    for (const GridObserver& site : sites) {
+      const double mask = std::isnan(site.min_elevation_deg)
+                              ? popts.min_elevation_deg
+                              : site.min_elevation_deg;
+      const orbit::ElevationSampler sampler(props[s], site.location);
+      const auto windows = rolling.scan_satellite(s, site, popts);
+      std::vector<JulianDate> afters{rolling.start_time() - 0.01,
+                                     rolling.start_time(),
+                                     rolling.end_time()};
+      for (const ContactWindow& w : windows)
+        for (const double a :
+             {w.aos_jd, 0.5 * (w.aos_jd + w.los_jd), w.los_jd - 0.3 * step_days,
+              w.los_jd, w.los_jd + 0.3 * step_days})
+          afters.push_back(a);
+
+      for (const JulianDate after : afters) {
+        const ContactWindow* want = nullptr;
+        for (const ContactWindow& w : windows)
+          if (w.los_jd > after) {
+            want = &w;
+            break;
+          }
+        orbit::WindowBrackets b;
+        const bool found =
+            rolling.first_window_after(s, site, popts, after, b);
+        refined_in_walk += static_cast<int>(b.refinements);
+        ASSERT_EQ(found, want != nullptr) << "sat " << s << " after " << after;
+        if (!found) continue;
+        ++found_cases;
+        const auto refine = [&](JulianDate lo, JulianDate hi) {
+          return lo == hi ? lo
+                          : orbit::refine_mask_crossing(
+                                sampler, lo, hi, mask,
+                                popts.refine_tolerance_s);
+        };
+        const JulianDate aos = refine(b.aos_lo, b.aos_hi);
+        const JulianDate los = refine(b.los_lo, b.los_hi);
+        EXPECT_LE(b.aos_lo, aos);
+        EXPECT_LE(aos, b.aos_hi);
+        EXPECT_LE(b.los_lo, los);
+        EXPECT_LE(los, b.los_hi);
+        const auto [tca, elev] = orbit::refine_max_elevation(sampler, aos, los);
+        EXPECT_EQ(aos, want->aos_jd);
+        EXPECT_EQ(los, want->los_jd);
+        EXPECT_EQ(tca, want->tca_jd);
+        EXPECT_EQ(elev, want->max_elevation_deg);
+      }
+    }
+  }
+  EXPECT_GT(found_cases, 20);
+  EXPECT_GT(refined_in_walk, 0);  // straddling LOS brackets were hit
+}
+
 TEST(RollingEphemeris, RetirementBoundsResidencyAndKeepsCoverage) {
   std::mt19937_64 rng(47);
   const Tle tle = random_tle(rng, 12);

@@ -13,15 +13,21 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/scenario.h"
 #include "obs/metrics.h"
+#include "orbit/constellation.h"
+#include "orbit/ephemeris.h"
 #include "orbit/time.h"
 #include "svc/loadgen.h"
 #include "svc/protocol.h"
@@ -288,6 +294,302 @@ TEST(SvcService, VirtualClockAdvancesAndRetiresHorizon) {
                              "\"lon_deg\":24.94}")
                 .find("\"ok\":true"),
             std::string::npos);
+}
+
+// --------------- next_pass against a whole-horizon oracle ---------------
+
+/// next_pass as the whole-horizon definition states it: every satellite's
+/// complete scan_satellite window list over a horizon built exactly like
+/// the service's, the first window of each whose LOS is after `after`,
+/// and the earliest AOS under a strict `<` (so the lowest satellite index
+/// wins a tie). The service must answer byte for byte the same.
+class NextPassOracle {
+ public:
+  explicit NextPassOracle(const ServiceOptions& o) : opts_(o) {
+    const orbit::JulianDate epoch = orbit::unix_to_julian(o.epoch_unix_s);
+    std::vector<orbit::ConstellationSpec> specs;
+    if (o.constellation == "all")
+      specs = orbit::paper_constellations();
+    else
+      specs.push_back(orbit::paper_constellation(o.constellation));
+    int catalog = 51000;
+    for (const orbit::ConstellationSpec& spec : specs) {
+      std::vector<orbit::Tle> tles = orbit::generate_tles(spec, epoch, catalog);
+      catalog += static_cast<int>(tles.size());
+      for (orbit::Tle& tle : tles) tles_.push_back(std::move(tle));
+    }
+    for (const orbit::Tle& tle : tles_)
+      propagators_.push_back(std::make_unique<orbit::Sgp4>(tle));
+    std::vector<const orbit::Sgp4*> sats;
+    for (const auto& p : propagators_) sats.push_back(p.get());
+    orbit::RollingEphemeris::Options ropts;
+    ropts.coarse_step_s = o.step_s;
+    ropts.chunk_samples = o.chunk_samples;
+    ropts.mode = o.mode;
+    rolling_ = std::make_unique<orbit::RollingEphemeris>(std::move(sats),
+                                                         epoch, ropts);
+    (void)rolling_->advance(epoch - o.retention_hours / 24.0,
+                            epoch + o.horizon_hours / 24.0);
+  }
+
+  [[nodiscard]] double start_unix_s() const {
+    return orbit::julian_to_unix(rolling_->start_time());
+  }
+  [[nodiscard]] double end_unix_s() const {
+    return orbit::julian_to_unix(rolling_->end_time());
+  }
+
+  /// Every satellite's windows over the whole horizon.
+  [[nodiscard]] std::vector<std::vector<orbit::ContactWindow>> windows(
+      const orbit::Geodetic& observer, double mask_deg) const {
+    orbit::PassPredictionOptions popts;
+    popts.min_elevation_deg = mask_deg;
+    popts.coarse_step_s = opts_.step_s;
+    orbit::GridObserver grid_observer;
+    grid_observer.location = observer;
+    return rolling_->scan_observer(grid_observer, popts);
+  }
+
+  [[nodiscard]] std::string answer(
+      const Request& req,
+      const std::vector<std::vector<orbit::ContactWindow>>& windows) const {
+    const orbit::JulianDate after =
+        std::clamp(orbit::unix_to_julian(req.after_unix_s),
+                   rolling_->start_time(), rolling_->end_time());
+    const orbit::ContactWindow* best = nullptr;
+    std::size_t best_sat = 0;
+    for (std::size_t s = 0; s < windows.size(); ++s) {
+      for (const orbit::ContactWindow& w : windows[s]) {
+        if (w.los_jd <= after) continue;
+        if (best == nullptr || w.aos_jd < best->aos_jd) {
+          best = &w;
+          best_sat = s;
+        }
+        break;
+      }
+    }
+    if (best == nullptr)
+      return svc::next_pass_response(req, nullptr, end_unix_s());
+    svc::PassEntry entry;
+    entry.satellite = tles_[best_sat].name;
+    entry.catalog_number = tles_[best_sat].catalog_number;
+    entry.aos_unix_s = orbit::julian_to_unix(best->aos_jd);
+    entry.los_unix_s = orbit::julian_to_unix(best->los_jd);
+    entry.tca_unix_s = orbit::julian_to_unix(best->tca_jd);
+    entry.max_elevation_deg = best->max_elevation_deg;
+    return svc::next_pass_response(req, &entry, end_unix_s());
+  }
+
+ private:
+  ServiceOptions opts_;
+  std::vector<orbit::Tle> tles_;
+  std::vector<std::unique_ptr<orbit::Sgp4>> propagators_;
+  std::unique_ptr<orbit::RollingEphemeris> rolling_;
+};
+
+/// The whole paper fleet over a 6 h horizon, with a pass cache far
+/// smaller than the fleet: a passes_in_range fill keeps only its last
+/// satellites, so one next_pass sees cached and walked satellites mixed.
+ServiceOptions oracle_service_options(orbit::PropagationMode mode) {
+  ServiceOptions o = small_service_options();
+  o.constellation = "all";
+  o.cache_entries = 16;
+  o.mode = mode;
+  return o;
+}
+
+std::string observer_json(double lat, double lon, double mask) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "\"lat_deg\":%.17g,\"lon_deg\":%.17g,"
+                "\"min_elevation_deg\":%.17g",
+                lat, lon, mask);
+  return buf;
+}
+
+std::string next_pass_line(std::uint64_t id, const std::string& observer,
+                           double after_unix_s) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), ",\"after_unix_s\":%.17g}", after_unix_s);
+  return "{\"type\":\"next_pass\",\"id\":" + std::to_string(id) + "," +
+         observer + buf;
+}
+
+std::string passes_in_range_line(const std::string& observer) {
+  return "{\"type\":\"passes_in_range\"," + observer +
+         ",\"start_unix_s\":0,\"end_unix_s\":253402300800}";
+}
+
+/// 2,000 (observer, mask, after) cases per propagation mode. `after`
+/// falls before the horizon, at its start, inside open windows, just
+/// before and after a LOS (where the coarse LOS bracket straddles it),
+/// anywhere, and at or past the horizon end (found:false).
+void expect_next_pass_matches_oracle(orbit::PropagationMode mode) {
+  const ServiceOptions opts = oracle_service_options(mode);
+  obs::MetricsRegistry metrics;
+  PassService service(opts, &metrics);
+  const NextPassOracle oracle(opts);
+  const auto horizon = service.stats_payload();
+  ASSERT_EQ(horizon.horizon_start_unix_s, oracle.start_unix_s());
+  ASSERT_EQ(horizon.horizon_end_unix_s, oracle.end_unix_s());
+  const double h_start = oracle.start_unix_s();
+  const double h_end = oracle.end_unix_s();
+
+  std::mt19937_64 rng(20250301);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  constexpr int kObservers = 250;
+  constexpr int kAftersPerObserver = 8;
+  std::uint64_t id = 0;
+  int found = 0;
+  for (int o = 0; o < kObservers; ++o) {
+    const double lat = -85.0 + 170.0 * unit(rng);
+    const double lon = -180.0 + 360.0 * unit(rng);
+    const double mask = 40.0 * unit(rng);
+    const std::string observer = observer_json(lat, lon, mask);
+    if (o % 2 == 0) (void)service.handle_line(passes_in_range_line(observer));
+
+    const Request parsed = svc::parse_request(passes_in_range_line(observer));
+    const auto windows =
+        oracle.windows(parsed.observer, parsed.min_elevation_deg);
+    std::vector<orbit::ContactWindow> all;
+    for (const auto& w : windows) all.insert(all.end(), w.begin(), w.end());
+    const auto any_window = [&]() -> const orbit::ContactWindow* {
+      if (all.empty()) return nullptr;
+      return &all[static_cast<std::size_t>(unit(rng) * all.size()) %
+                  all.size()];
+    };
+    for (int a = 0; a < kAftersPerObserver; ++a) {
+      double after = h_start + unit(rng) * (h_end - h_start);
+      const orbit::ContactWindow* w = any_window();
+      const double aos = w ? orbit::julian_to_unix(w->aos_jd) : after;
+      const double los = w ? orbit::julian_to_unix(w->los_jd) : after;
+      switch (a) {
+        case 0: after = h_start - 3600.0 * unit(rng); break;
+        case 1: after = h_start; break;
+        case 2: after = aos + unit(rng) * (los - aos); break;
+        case 3: after = los - opts.step_s * unit(rng); break;
+        case 4: after = los + opts.step_s * unit(rng); break;
+        case 5: after = h_end; break;
+        case 6: after = h_end + 3600.0 * unit(rng); break;
+        default: break;
+      }
+      const std::string line = next_pass_line(++id, observer, after);
+      const std::string got = service.handle_line(line);
+      const std::string want = oracle.answer(svc::parse_request(line), windows);
+      ASSERT_EQ(got, want) << line;
+      if (got.find("\"found\":true") != std::string::npos) ++found;
+    }
+  }
+  // The cases must exercise both answers and both kinds of satellite.
+  EXPECT_GT(found, kObservers);
+  EXPECT_LT(found, kObservers * kAftersPerObserver);
+  const auto snap = metrics.snapshot();
+  EXPECT_GT(snap.counters.at("svc.next_pass.cached_sats"), 0u);
+  EXPECT_GT(snap.counters.at("svc.next_pass.scanned_sats"), 0u);
+  EXPECT_GT(snap.counters.at("svc.next_pass.refinements"), 0u);
+}
+
+TEST(SvcService, NextPassMatchesWholeHorizonOracleReference) {
+  expect_next_pass_matches_oracle(orbit::PropagationMode::kReference);
+}
+
+TEST(SvcService, NextPassMatchesWholeHorizonOracleFast) {
+  expect_next_pass_matches_oracle(orbit::PropagationMode::kFast);
+}
+
+TEST(SvcService, NextPassLeavesCacheAsItWasAndRangeFillsIt) {
+  PassService service(small_service_options());
+  const std::string observer = observer_json(60.17, 24.94, 10.0);
+  const double after = service.stats_payload().horizon_start_unix_s;
+  (void)service.handle_line(next_pass_line(1, observer, after));
+  (void)service.handle_line(next_pass_line(2, observer, after + 7200.0));
+  auto cs = service.stats_payload();
+  EXPECT_EQ(cs.cache_entries, 0u);
+  EXPECT_EQ(cs.cache_hits, 0u);
+  EXPECT_EQ(cs.cache_misses, 6u);  // every probe is a miss
+
+  (void)service.handle_line(passes_in_range_line(observer));
+  cs = service.stats_payload();
+  EXPECT_EQ(cs.cache_entries, service.satellite_count());
+
+  // Now every probe hits, and the answer still leaves the cache alone.
+  (void)service.handle_line(next_pass_line(3, observer, after));
+  const auto hot = service.stats_payload();
+  EXPECT_EQ(hot.cache_entries, cs.cache_entries);
+  EXPECT_EQ(hot.cache_hits, cs.cache_hits + service.satellite_count());
+  EXPECT_EQ(hot.cache_misses, cs.cache_misses);
+}
+
+TEST(SvcService, ResponsesAreIdenticalWithAndWithoutRegistry) {
+  obs::MetricsRegistry metrics;
+  PassService instrumented(oracle_service_options(orbit::propagation_mode()),
+                           &metrics);
+  PassService bare(oracle_service_options(orbit::propagation_mode()));
+  const double h_start = bare.stats_payload().horizon_start_unix_s;
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uint64_t id = 0;
+  for (int i = 0; i < 60; ++i) {
+    const double lat = -60.0 + 120.0 * unit(rng);
+    const double lon = -180.0 + 360.0 * unit(rng);
+    const std::string observer = observer_json(lat, lon, 30.0 * unit(rng));
+    std::vector<std::string> lines = {
+        next_pass_line(++id, observer, h_start + 21600.0 * unit(rng)),
+        passes_in_range_line(observer),
+        next_pass_line(++id, observer, h_start + 21600.0 * unit(rng)),
+        "{\"type\":\"next_pass\",\"lat_deg\":99,\"lon_deg\":0}"};
+    for (const std::string& line : lines)
+      ASSERT_EQ(instrumented.handle_line(line), bare.handle_line(line)) << line;
+  }
+  const auto snap = metrics.snapshot();
+  EXPECT_EQ(snap.counters.at("svc.next_pass.cached_sats") +
+                snap.counters.at("svc.next_pass.scanned_sats"),
+            120u * instrumented.satellite_count());
+  // Per-type latency histograms next to the total; a request that never
+  // parsed to a type is only in the total.
+  EXPECT_EQ(snap.histograms.at("svc.request_latency_ms.next_pass").total,
+            120u);
+  EXPECT_EQ(snap.histograms.at("svc.request_latency_ms.passes_in_range").total,
+            60u);
+  EXPECT_EQ(snap.histograms.at("svc.request_latency_ms").total, 240u);
+}
+
+TEST(SvcService, ConcurrentProbesAndFillsAgreeWithSerialAnswers) {
+  // Four threads race next_pass probes against passes_in_range fills
+  // (and LRU evictions, the cache holding 16 of 39 satellites) on the
+  // same observers; every next_pass answer must equal the one a fresh
+  // service gives serially.
+  const ServiceOptions opts = oracle_service_options(orbit::propagation_mode());
+  PassService shared(opts);
+  PassService serial(opts);
+  const double h_start = serial.stats_payload().horizon_start_unix_s;
+  std::vector<std::string> observers;
+  for (int i = 0; i < 6; ++i)
+    observers.push_back(observer_json(-50.0 + 20.0 * i, 30.0 * i, 5.0 * i));
+  std::vector<std::string> queries;
+  std::vector<std::string> expected;
+  for (int i = 0; i < 48; ++i) {
+    queries.push_back(next_pass_line(static_cast<std::uint64_t>(i),
+                                     observers[i % observers.size()],
+                                     h_start + 450.0 * i));
+    expected.push_back(serial.handle_line(queries.back()));
+  }
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 3; ++round)
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          const std::size_t q = (i + 12 * static_cast<std::size_t>(t)) %
+                                queries.size();
+          if (q % 3 == 0)
+            (void)shared.handle_line(
+                passes_in_range_line(observers[q % observers.size()]));
+          if (shared.handle_line(queries[q]) != expected[q]) ++mismatches[t];
+        }
+    });
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 // --------------------------- TCP server ------------------------------

@@ -71,6 +71,15 @@ for p in "${presets[@]}"; do
       echo "==== [$p] passive campaign thread invariance FAILED" >&2
       failed+=("$p-campaign-invariance")
     fi
+    # The pass service: next_pass probes of the pass cache racing
+    # passes_in_range fills and LRU evictions, called directly from four
+    # threads and through the TCP server's worker pool.
+    echo "==== [$p] pass service"
+    if ! "build-$p/tests/test_svc" \
+        --gtest_filter='SvcServer.*:SvcService.*'; then
+      echo "==== [$p] pass service FAILED" >&2
+      failed+=("$p-svc")
+    fi
   fi
 done
 
