@@ -36,6 +36,7 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -166,6 +167,9 @@ double parse_double_arg(const char* text, const char* what) {
   if (end == text || end == nullptr || *end != '\0' || errno == ERANGE)
     throw UsageError(std::string(what) + ": expected a number, got '" +
                      text + "'");
+  if (!std::isfinite(value))
+    throw UsageError(std::string(what) + ": expected a finite number, got '" +
+                     text + "'");
   return value;
 }
 
@@ -199,8 +203,8 @@ int usage() {
       "  sinet validate <scenario> <out.json> [--baselines <file>]\n"
       "                 [--threads N]\n"
       "  sinet dts --nodes N --sats K [--sites M=256] [--days D=1]\n"
-      "            [--seed S=42] [--engine auto|legacy|batched]\n"
-      "            [--access aloha|scheduled] [--interval SECONDS]\n"
+      "            [--seed S=42] [--access aloha|scheduled]\n"
+      "            [--interval SECONDS]\n"
       "            [--threshold NODES] [--threads N=all]\n"
       "  sinet serve [--port P=ephemeral] [--constellation NAME=all]\n"
       "              [--horizon-hours H=24] [--retention-hours H=0.25]\n"
@@ -503,7 +507,6 @@ int cmd_dts(int argc, char** argv) {
   long threshold = -1;  // -1 = library default
   double interval_s = 0.0;
   long threads = 0;  // 0 = all hardware threads
-  std::string engine = "auto";
   std::string access;
   for (int i = 2; i < argc; ++i) {
     const auto next = [&](const char* what) -> const char* {
@@ -527,8 +530,6 @@ int cmd_dts(int argc, char** argv) {
       interval_s = parse_double_arg(next("--interval"), "--interval");
     else if (std::strcmp(argv[i], "--threads") == 0)
       threads = parse_int_arg(next("--threads"), "--threads");
-    else if (std::strcmp(argv[i], "--engine") == 0)
-      engine = next("--engine");
     else if (std::strcmp(argv[i], "--access") == 0)
       access = next("--access");
     else
@@ -547,10 +548,6 @@ int cmd_dts(int argc, char** argv) {
   if (interval_s > 0.0) cfg.fleet.prototype.report_interval_s = interval_s;
   if (threads < 0) throw UsageError("dts: --threads must be >= 0");
   cfg.sim_threads = static_cast<unsigned>(threads);
-  if (engine == "legacy") cfg.engine = net::DtsEngine::kLegacy;
-  else if (engine == "batched") cfg.engine = net::DtsEngine::kBatched;
-  else if (engine != "auto")
-    throw UsageError("dts: --engine must be auto|legacy|batched");
   if (access == "aloha")
     cfg.uplink_access = net::UplinkAccess::kSlottedAloha;
   else if (access == "scheduled")
@@ -574,8 +571,10 @@ int cmd_dts(int argc, char** argv) {
     const auto it = snap.gauges.find(name);
     return it == snap.gauges.end() ? 0.0 : it->second.value;
   };
-  std::printf("dts.engine=%s\n",
-              cfg.engine == net::DtsEngine::kLegacy ? "legacy" : "batched");
+  std::printf("dts.mode=%s\n",
+              static_cast<std::size_t>(nodes) <= cfg.trace_node_threshold
+                  ? "trace"
+                  : "aggregate");
   std::printf("dts.nodes=%ld\n", nodes);
   std::printf("dts.sats=%ld\n", sats);
   std::printf("dts.days=%g\n", days);

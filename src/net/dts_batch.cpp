@@ -26,6 +26,9 @@
 
 namespace sinet::net {
 
+using orbit::ContactWindow;
+using orbit::JulianDate;
+
 namespace detail {
 
 std::size_t dts_node_count(const DtsNetworkConfig& cfg) {
@@ -40,84 +43,19 @@ IotNodeConfig dts_node_config(const DtsNetworkConfig& cfg, std::size_t i) {
   return nc;
 }
 
-void validate_dts_config(const DtsNetworkConfig& cfg) {
-  const bool fleet = cfg.fleet.count > 0;
-  if (fleet && !cfg.nodes.empty())
-    throw std::invalid_argument(
-        "DtsNetwork: both nodes and fleet configured; pick one");
-  if (fleet && cfg.fleet.sites.empty())
-    throw std::invalid_argument("DtsNetwork: fleet without sites");
-  if (!fleet && cfg.nodes.empty())
-    throw std::invalid_argument("DtsNetwork: no IoT nodes configured");
-  if (cfg.duration_days <= 0.0)
-    throw std::invalid_argument("DtsNetwork: nonpositive duration");
-  if (cfg.beacon.period_s <= 0.5)
-    throw std::invalid_argument("DtsNetwork: beacon period too small");
-  if (cfg.constellation.total_satellites() <= 0)
-    throw std::invalid_argument("DtsNetwork: empty constellation");
-  if (cfg.ground_stations.empty())
-    throw std::invalid_argument("DtsNetwork: no ground stations");
-  if (fleet) {
-    if (cfg.fleet.prototype.report_interval_s <= 0.0)
-      throw std::invalid_argument("DtsNetwork: bad report interval");
-  } else {
-    for (const IotNodeConfig& nc : cfg.nodes)
-      if (nc.report_interval_s <= 0.0)
-        throw std::invalid_argument("DtsNetwork: bad report interval");
-  }
-}
-
 double effective_tail_exclusion_s(const DtsNetworkConfig& cfg) {
   // A probe run shorter than twice the configured exclusion would
   // otherwise classify every report as ineligible (eligible_generated
   // stuck at 0 — the scale_ablation 100k bug): cap the exclusion at half
-  // the run so short runs keep a nonzero eligible population. Every
-  // engine (legacy, exact batched, aggregate) applies this same helper, so
-  // cross-engine parity is preserved.
+  // the run so short runs keep a nonzero eligible population. Both
+  // engines apply this same helper.
   return std::min(cfg.aggregate_tail_exclusion_s,
                   0.5 * cfg.duration_days * 86400.0);
 }
 
-void aggregate_from_uplinks(const std::vector<trace::UplinkRecord>& uplinks,
-                            double run_end_unix_s, double tail_exclusion_s,
-                            DtsAggregates& agg) {
-  const double eligible_before = run_end_unix_s - tail_exclusion_s;
-  for (const trace::UplinkRecord& u : uplinks) {
-    ++agg.reports_generated;
-    const bool eligible = u.generated_unix_s <= eligible_before;
-    if (eligible) ++agg.eligible_generated;
-    if (u.first_tx_unix_s >= 0.0) {
-      const double w = u.first_tx_unix_s - u.generated_unix_s;
-      agg.sum_wait_s += w;
-      ++agg.wait_samples;
-      agg.wait_s.add(w);
-    }
-    if (u.dts_attempts > 0)
-      agg.attempts.add(static_cast<double>(u.dts_attempts));
-    if (!u.delivered) continue;
-    ++agg.reports_delivered;
-    if (eligible) ++agg.eligible_delivered;
-    const double e2e = u.end_to_end_s();
-    agg.sum_end_to_end_s += e2e;
-    agg.latency_s.add(e2e);
-    if (u.first_tx_unix_s >= 0.0 && u.satellite_rx_unix_s >= 0.0) {
-      agg.sum_dts_transfer_s += u.dts_transfer_s();
-      agg.sum_delivery_s += u.delivery_s();
-      ++agg.breakdown_samples;
-    }
-  }
-}
-
-}  // namespace detail
-
 namespace {
 
-using orbit::ContactWindow;
-using orbit::JulianDate;
-
-/// Key for grouping nodes that share a deployment location (identical to
-/// the legacy engine's, so both engines produce the same location set in
-/// the same order).
+/// Key for grouping nodes that share a deployment location.
 struct LocationKey {
   double lat, lon, alt;
   bool operator<(const LocationKey& o) const {
@@ -128,6 +66,207 @@ struct LocationKey {
 LocationKey key_of(const orbit::Geodetic& g) {
   return {g.latitude_deg, g.longitude_deg, g.altitude_km};
 }
+
+void validate_dts_config(const DtsNetworkConfig& cfg) {
+  // A `x <= lo` rejection would let NaN and +inf through.
+  const auto finite_above = [](double x, double lo) {
+    return std::isfinite(x) && x > lo;
+  };
+  const bool fleet = cfg.fleet.count > 0;
+  if (fleet && !cfg.nodes.empty())
+    throw std::invalid_argument(
+        "DtsNetwork: both nodes and fleet configured; pick one");
+  if (fleet && cfg.fleet.sites.empty())
+    throw std::invalid_argument("DtsNetwork: fleet without sites");
+  if (!fleet && cfg.nodes.empty())
+    throw std::invalid_argument("DtsNetwork: no IoT nodes configured");
+  if (!finite_above(cfg.duration_days, 0.0))
+    throw std::invalid_argument(
+        "DtsNetwork: duration must be finite and positive");
+  if (!finite_above(cfg.beacon.period_s, 0.5))
+    throw std::invalid_argument(
+        "DtsNetwork: beacon period must be finite and above 0.5 s");
+  if (!finite_above(cfg.pass_scan_step_s, 0.0))
+    throw std::invalid_argument(
+        "DtsNetwork: pass scan step must be finite and positive");
+  // The congestion block index is t / block_duration_s cast to an
+  // integer, which is undefined for an infinite or NaN quotient.
+  if (cfg.congestion.enabled &&
+      !finite_above(cfg.congestion.block_duration_s, 0.0))
+    throw std::invalid_argument(
+        "DtsNetwork: congestion block must be finite and positive");
+  if (cfg.constellation.total_satellites() <= 0)
+    throw std::invalid_argument("DtsNetwork: empty constellation");
+  if (cfg.ground_stations.empty())
+    throw std::invalid_argument("DtsNetwork: no ground stations");
+  const auto check_interval = [&](const IotNodeConfig& nc) {
+    if (!finite_above(nc.report_interval_s, 0.0))
+      throw std::invalid_argument("DtsNetwork: bad report interval");
+  };
+  if (fleet) {
+    check_interval(cfg.fleet.prototype);
+  } else {
+    for (const IotNodeConfig& nc : cfg.nodes) check_interval(nc);
+  }
+}
+
+}  // namespace
+
+DtsSetup::DtsSetup(const DtsNetworkConfig& cfg) {
+  validate_dts_config(cfg);
+
+  tles = orbit::generate_tles(cfg.constellation, cfg.start_jd);
+  satellites.reserve(tles.size());
+  for (const orbit::Tle& tle : tles) {
+    satellites.emplace_back(tle.name, cfg.constellation.name, tle,
+                            cfg.satellite_buffer_capacity);
+    satellites.back().buffer = StoreAndForwardBuffer(
+        cfg.satellite_buffer_capacity, cfg.satellite_drop_policy);
+  }
+
+  // Unique node locations, in first-appearance order.
+  const std::size_t count = dts_node_count(cfg);
+  const auto site_of = [&](std::size_t n) -> const orbit::Geodetic& {
+    return cfg.fleet.count > 0
+               ? cfg.fleet.sites[n % cfg.fleet.sites.size()]
+               : cfg.nodes[n].location;
+  };
+  std::map<LocationKey, std::size_t> loc_index;
+  const auto add_location = [&](const orbit::Geodetic& g) {
+    if (loc_index.emplace(key_of(g), locations.size()).second)
+      locations.push_back(g);
+  };
+  if (cfg.fleet.count > 0) {
+    for (const orbit::Geodetic& site : cfg.fleet.sites) add_location(site);
+  } else {
+    for (const IotNodeConfig& nc : cfg.nodes) add_location(nc.location);
+  }
+  node_loc.reserve(count);
+  for (std::size_t n = 0; n < count; ++n)
+    node_loc.push_back(
+        static_cast<std::uint32_t>(loc_index.at(key_of(site_of(n)))));
+
+  // ONE cached grid call covering every node location (at the visibility
+  // mask) and every ground station (at its own elevation mask): the
+  // shared-ephemeris engine propagates each satellite once per coarse
+  // step for all observers.
+  orbit::PassPredictionOptions opts;
+  opts.min_elevation_deg = cfg.visibility_mask_deg;
+  opts.coarse_step_s = cfg.pass_scan_step_s;
+  std::vector<orbit::GridObserver> observers;
+  observers.reserve(locations.size() + cfg.ground_stations.size());
+  frames.reserve(locations.size());
+  for (const orbit::Geodetic& loc : locations) {
+    observers.push_back(orbit::GridObserver{loc});
+    frames.emplace_back(loc);
+  }
+  for (const GroundStationSite& gs : cfg.ground_stations)
+    observers.push_back(
+        orbit::GridObserver{gs.location, gs.min_elevation_deg});
+
+  auto windows = orbit::predict_passes_grid_cached(
+      tles, observers, cfg.start_jd, cfg.start_jd + cfg.duration_days, opts,
+      cfg.pass_threads, &orbit::ContactWindowCache::global(), cfg.metrics);
+  node_windows.assign(
+      satellites.size(),
+      std::vector<std::vector<ContactWindow>>(locations.size()));
+  gs_windows.assign(
+      satellites.size(),
+      std::vector<std::vector<ContactWindow>>(cfg.ground_stations.size()));
+  for (std::size_t s = 0; s < satellites.size(); ++s) {
+    for (std::size_t l = 0; l < locations.size(); ++l)
+      node_windows[s][l] = std::move(windows[s][l]);
+    for (std::size_t g = 0; g < cfg.ground_stations.size(); ++g)
+      gs_windows[s][g] = std::move(windows[s][locations.size() + g]);
+  }
+}
+
+void DtsSetup::append_timeline(const DtsNetworkConfig& cfg, std::size_t s,
+                               std::vector<double>& times,
+                               std::vector<std::uint8_t>& is_flush) const {
+  const double duration_s = cfg.duration_days * 86400.0;
+  const double period = cfg.beacon.period_s;
+  // Per-satellite beacon phase, so satellites are not beacon-synchronized.
+  const double phase = period * static_cast<double>(s * 29 % 97) / 97.0;
+  std::vector<double> ticks;
+  for (const auto& windows : node_windows[s]) {
+    for (const ContactWindow& w : windows) {
+      const double a = (w.aos_jd - cfg.start_jd) * orbit::kSecondsPerDay;
+      const double b = (w.los_jd - cfg.start_jd) * orbit::kSecondsPerDay;
+      const double first = phase + std::ceil((a - phase) / period) * period;
+      for (double t = first; t <= b; t += period)
+        if (t >= 0.0 && t < duration_s) ticks.push_back(t);
+    }
+  }
+  std::sort(ticks.begin(), ticks.end());
+  ticks.erase(std::unique(ticks.begin(), ticks.end()), ticks.end());
+
+  std::vector<double> flushes;
+  for (const auto& windows : gs_windows[s]) {
+    for (const ContactWindow& w : windows) {
+      const double aos = (w.aos_jd - cfg.start_jd) * orbit::kSecondsPerDay;
+      const double los = (w.los_jd - cfg.start_jd) * orbit::kSecondsPerDay;
+      for (const double t : gs_flush_times(aos, los))
+        if (t >= 0.0 && t < duration_s) flushes.push_back(t);
+    }
+  }
+  std::sort(flushes.begin(), flushes.end());
+
+  // Both lists are sorted; the merge takes the tick at equal times.
+  std::size_t i = 0, j = 0;
+  while (i < ticks.size() || j < flushes.size()) {
+    const bool tick =
+        j == flushes.size() || (i < ticks.size() && ticks[i] <= flushes[j]);
+    times.push_back(tick ? ticks[i++] : flushes[j++]);
+    is_flush.push_back(tick ? 0 : 1);
+  }
+}
+
+double DtsSetup::location_rx_seconds(const DtsNetworkConfig& cfg,
+                                     std::size_t loc) const {
+  std::vector<ContactWindow> all;
+  for (const auto& by_loc : node_windows)
+    all.insert(all.end(), by_loc[loc].begin(), by_loc[loc].end());
+  return orbit::daily_visible_seconds(all, cfg.start_jd,
+                                      cfg.start_jd + cfg.duration_days) *
+         cfg.duration_days;
+}
+
+void publish_dts_metrics(const DtsNetworkConfig& cfg, const DtsSetup& setup,
+                         const DtsNetworkResult& result) {
+  if (cfg.metrics == nullptr) return;
+  obs::MetricsRegistry& m = *cfg.metrics;
+  const DtsCounters& c = result.counters;
+  m.counter("net.dts.beacons_sent").add(c.beacons_sent);
+  m.counter("net.dts.beacons_heard").add(c.beacons_heard);
+  m.counter("net.dts.uplink_attempts").add(c.uplink_attempts);
+  m.counter("net.dts.uplinks_received").add(c.uplinks_received);
+  m.counter("net.dts.uplinks_collided").add(c.uplinks_collided);
+  m.counter("net.dts.acks_sent").add(c.acks_sent);
+  m.counter("net.dts.acks_received").add(c.acks_received);
+  m.counter("net.dts.duplicate_uplinks").add(c.duplicate_uplinks);
+  m.counter("net.dts.satellite_buffer_drops").add(c.satellite_buffer_drops);
+  m.counter("net.dts.background_losses").add(c.background_losses);
+  m.counter("net.dts.reports_generated").add(result.agg.reports_generated);
+  m.gauge("net.dts.delivered_fraction").set(result.delivered_fraction());
+  m.gauge("net.dts.mean_end_to_end_s").set(result.mean_end_to_end_s());
+
+  // Population-scale gauges: the evidence that a run stays bounded (CI's
+  // scale-smoke job asserts on them).
+  m.gauge("net.dts.scale.nodes")
+      .set(static_cast<double>(setup.node_loc.size()));
+  std::size_t peak = 0;
+  for (const Satellite& sat : setup.satellites)
+    peak = std::max(peak, sat.buffer.peak_occupancy());
+  m.gauge("net.dts.scale.sat_buffer_peak_packets")
+      .set(static_cast<double>(peak));
+  m.gauge("net.dts.scale.peak_rss_bytes")
+      .set(static_cast<double>(obs::process_peak_rss_bytes()));
+}
+
+}  // namespace detail
+
+namespace {
 
 constexpr std::uint32_t kNoActive = std::numeric_limits<std::uint32_t>::max();
 
@@ -158,19 +297,19 @@ struct NodeStore {
 
   // Static per-node configuration. A fleet shares one profile (no
   // per-node copy); an explicit node list has one profile per node.
-  std::vector<std::uint32_t> loc;  ///< index into locations_
   std::vector<double> phase_s;
   std::vector<Profile> profiles;
 
   // Dynamic state.
-  std::vector<double> next_report_s;  ///< accumulated, mirrors legacy loop
+  /// Accumulated by repeated addition, like the exact engine's report
+  /// loop.
+  std::vector<double> next_report_s;
   std::vector<std::uint64_t> next_seq;
   std::vector<std::uint32_t> buf_size;
   std::vector<BufferRuns> runs;
   /// Extra (newer) runs for the rare node holding >2 disjoint runs.
-  /// Shared across nodes, so the aggregate engine guards it with
-  /// overflow_mutex (see push_seq); single-threaded exact mode takes the
-  /// same (uncontended) lock on the same rare path.
+  /// Shared across nodes, so it is guarded by overflow_mutex (see
+  /// push_seq).
   std::unordered_map<std::uint64_t,
                      std::vector<std::pair<std::uint64_t, std::uint64_t>>>
       overflow;
@@ -181,10 +320,8 @@ struct NodeStore {
   std::vector<double> busy_until;
   std::vector<double> tx_seconds;
 
-  void init(const DtsNetworkConfig& cfg,
-            const std::vector<std::uint32_t>& node_loc) {
+  void init(const DtsNetworkConfig& cfg) {
     count = detail::dts_node_count(cfg);
-    loc = node_loc;
     phase_s.resize(count);
     const auto profile_of_config = [](const IotNodeConfig& nc) {
       return Profile{nc.report_interval_s, nc.report_payload_bytes,
@@ -202,7 +339,7 @@ struct NodeStore {
         profiles.push_back(profile_of_config(nc));
     }
     for (std::size_t n = 0; n < count; ++n) {
-      // Same de-synchronization phase as the legacy scheduler.
+      // Same de-synchronization phase as the exact engine's reports.
       phase_s[n] =
           std::fmod(60.0 * static_cast<double>(n), interval_s(n));
     }
@@ -241,8 +378,8 @@ struct NodeStore {
   /// Admit `seq` (== next_seq[n] - 1) at the newest end. Returns false —
   /// a local drop — when the buffer is full.
   ///
-  /// Concurrency: the aggregate engine calls this from pool workers for
-  /// DISJOINT node sets, so every per-node vector write is race-free.
+  /// Concurrency: pool workers call this for DISJOINT node sets, so
+  /// every per-node vector write is race-free.
   /// The one shared structure is the overflow map; by the run-ordering
   /// invariant (overflow[n] nonempty implies run1 is valid) it is only
   /// ever reachable behind the `r.e1 > r.b1` branch, so the map mutex is
@@ -301,7 +438,6 @@ struct NodeStore {
 
   [[nodiscard]] std::size_t approx_bytes() const {
     std::size_t b = 0;
-    b += loc.capacity() * sizeof(std::uint32_t);
     b += phase_s.capacity() * sizeof(double);
     b += profiles.capacity() * sizeof(Profile);
     b += next_report_s.capacity() * sizeof(double);
@@ -315,713 +451,6 @@ struct NodeStore {
     b += tx_seconds.capacity() * sizeof(double);
     return b;
   }
-};
-
-/// Exact-mode (trace) engine: at or below cfg.trace_node_threshold nodes
-/// it replays the legacy RNG draw order bit-for-bit and emits a full
-/// per-packet DtsNetworkResult. Population runs above the threshold go
-/// to AggregateSimulator below instead.
-class BatchSimulator {
- public:
-  explicit BatchSimulator(const DtsNetworkConfig& cfg)
-      : cfg_(cfg),
-        sim_(cfg.seed, orbit::julian_to_unix(cfg.start_jd)),
-        error_model_(cfg.error_model),
-        backhaul_(cfg.delivery_backhaul) {
-    detail::validate_dts_config(cfg);
-    sim_.attach_metrics(cfg_.metrics);
-    build_satellites();
-    build_nodes();
-    predict_windows();
-  }
-
-  DtsNetworkResult run() {
-    build_timelines();
-    sim_.run_until(duration_s());
-    materialize_reports(duration_s(), /*inclusive=*/false);
-    return assemble_result();
-  }
-
- private:
-  [[nodiscard]] double duration_s() const {
-    return cfg_.duration_days * 86400.0;
-  }
-  [[nodiscard]] JulianDate jd_at(sim::SimTime t) const {
-    return cfg_.start_jd + t / orbit::kSecondsPerDay;
-  }
-  [[nodiscard]] channel::Weather weather_at(sim::SimTime t) const {
-    if (cfg_.daily_weather.empty()) return channel::Weather::kSunny;
-    const auto day = static_cast<std::size_t>(t / 86400.0);
-    return cfg_.daily_weather[day % cfg_.daily_weather.size()];
-  }
-  /// Closed-form generation time of (node, seq). Only used where bit
-  /// parity with the legacy engine is not observable (StoredPacket
-  /// payloads and aggregate-mode eligibility/latency); trace records use
-  /// the accumulated next_report_s, which matches the legacy scheduler's
-  /// repeated-addition loop bit for bit.
-  [[nodiscard]] double gen_time_s(std::size_t n, std::uint64_t seq) const {
-    return nodes_.phase_s[n] +
-           static_cast<double>(seq) * nodes_.interval_s(n);
-  }
-
-  void build_satellites() {
-    tles_ = orbit::generate_tles(cfg_.constellation, cfg_.start_jd);
-    satellites_.reserve(tles_.size());
-    for (const orbit::Tle& tle : tles_) {
-      satellites_.emplace_back(tle.name, cfg_.constellation.name, tle,
-                               cfg_.satellite_buffer_capacity);
-      satellites_.back().buffer = StoreAndForwardBuffer(
-          cfg_.satellite_buffer_capacity, cfg_.satellite_drop_policy);
-    }
-  }
-
-  void build_nodes() {
-    const std::size_t count = detail::dts_node_count(cfg_);
-    // Unique node locations, in first-appearance order (legacy order).
-    std::map<LocationKey, std::size_t> loc_index;
-    std::vector<std::uint32_t> node_loc;
-    node_loc.reserve(count);
-    if (cfg_.fleet.count > 0) {
-      for (const orbit::Geodetic& site : cfg_.fleet.sites) {
-        const LocationKey k = key_of(site);
-        if (loc_index.emplace(k, locations_.size()).second)
-          locations_.push_back(site);
-      }
-      const std::size_t sites = cfg_.fleet.sites.size();
-      for (std::size_t n = 0; n < count; ++n)
-        node_loc.push_back(static_cast<std::uint32_t>(
-            loc_index.at(key_of(cfg_.fleet.sites[n % sites]))));
-    } else {
-      for (const IotNodeConfig& nc : cfg_.nodes) {
-        const LocationKey k = key_of(nc.location);
-        if (loc_index.emplace(k, locations_.size()).second)
-          locations_.push_back(nc.location);
-      }
-      for (const IotNodeConfig& nc : cfg_.nodes)
-        node_loc.push_back(static_cast<std::uint32_t>(
-            loc_index.at(key_of(nc.location))));
-    }
-    nodes_.init(cfg_, node_loc);
-
-    // Seed the activation heap with every node's first report time.
-    for (std::size_t n = 0; n < count; ++n)
-      if (nodes_.next_report_s[n] < duration_s())
-        report_heap_.emplace(nodes_.next_report_s[n], n);
-
-    records_.resize(count);
-    node_names_.reserve(count);
-    for (std::size_t n = 0; n < count; ++n)
-      node_names_.push_back(detail::dts_node_config(cfg_, n).name);
-  }
-
-  void predict_windows() {
-    orbit::PassPredictionOptions opts;
-    opts.min_elevation_deg = cfg_.visibility_mask_deg;
-    opts.coarse_step_s = cfg_.pass_scan_step_s;
-    const JulianDate end_jd = cfg_.start_jd + cfg_.duration_days;
-
-    node_windows_.assign(
-        satellites_.size(),
-        std::vector<std::vector<ContactWindow>>(locations_.size()));
-    gs_windows_.assign(
-        satellites_.size(),
-        std::vector<std::vector<ContactWindow>>(cfg_.ground_stations.size()));
-
-    std::vector<orbit::GridObserver> observers;
-    observers.reserve(locations_.size() + cfg_.ground_stations.size());
-    frames_.reserve(locations_.size());
-    for (const orbit::Geodetic& loc : locations_) {
-      observers.push_back(orbit::GridObserver{loc});
-      frames_.emplace_back(loc);
-    }
-    for (const GroundStationSite& gs : cfg_.ground_stations)
-      observers.push_back(
-          orbit::GridObserver{gs.location, gs.min_elevation_deg});
-
-    auto windows = orbit::predict_passes_grid_cached(
-        tles_, observers, cfg_.start_jd, end_jd, opts, cfg_.pass_threads,
-        &orbit::ContactWindowCache::global(), cfg_.metrics);
-    for (std::size_t s = 0; s < satellites_.size(); ++s) {
-      for (std::size_t l = 0; l < locations_.size(); ++l)
-        node_windows_[s][l] = std::move(windows[s][l]);
-      for (std::size_t g = 0; g < cfg_.ground_stations.size(); ++g)
-        gs_windows_[s][g] = std::move(windows[s][locations_.size() + g]);
-    }
-
-    window_cursor_.assign(satellites_.size(),
-                          std::vector<std::uint32_t>(locations_.size(), 0));
-    loc_geo_.assign(locations_.size(), LocGeo{});
-    background_cache_.assign(
-        satellites_.size(),
-        {std::numeric_limits<std::uint64_t>::max(), 0.0});
-  }
-
-  /// One merged, time-sorted timeline per satellite: beacon ticks (built
-  /// exactly like the legacy scheduler, deduped) and ground-station
-  /// flush opportunities (kept in legacy insertion order at ties via
-  /// stable_sort). The whole timeline is ONE chained queue event, so the
-  /// pending set stays O(satellites) for the entire run.
-  void build_timelines() {
-    timeline_time_.resize(satellites_.size());
-    timeline_is_flush_.resize(satellites_.size());
-    for (std::size_t s = 0; s < satellites_.size(); ++s) {
-      const double phase =
-          cfg_.beacon.period_s * static_cast<double>(s * 29 % 97) / 97.0;
-      std::vector<double> ticks;
-      for (const auto& windows : node_windows_[s]) {
-        for (const ContactWindow& w : windows) {
-          const double a =
-              (w.aos_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double b =
-              (w.los_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double first =
-              phase +
-              std::ceil((a - phase) / cfg_.beacon.period_s) *
-                  cfg_.beacon.period_s;
-          for (double t = first; t <= b; t += cfg_.beacon.period_s)
-            if (t >= 0.0 && t < duration_s()) ticks.push_back(t);
-        }
-      }
-      std::sort(ticks.begin(), ticks.end());
-      ticks.erase(std::unique(ticks.begin(), ticks.end()), ticks.end());
-
-      std::vector<double> flushes;
-      for (std::size_t g = 0; g < gs_windows_[s].size(); ++g) {
-        for (const ContactWindow& w : gs_windows_[s][g]) {
-          const double aos =
-              (w.aos_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double los =
-              (w.los_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          for (const double t : gs_flush_times(aos, los))
-            if (t >= 0.0 && t < duration_s()) flushes.push_back(t);
-        }
-      }
-
-      std::vector<double>& times = timeline_time_[s];
-      std::vector<std::uint8_t>& kinds = timeline_is_flush_[s];
-      times.reserve(ticks.size() + flushes.size());
-      kinds.reserve(ticks.size() + flushes.size());
-      for (const double t : ticks) {
-        times.push_back(t);
-        kinds.push_back(0);
-      }
-      for (const double t : flushes) {
-        times.push_back(t);
-        kinds.push_back(1);
-      }
-      // Beacon-before-flush at equal times, flushes keeping their
-      // (gs, window) insertion order — both legacy-tie behaviors.
-      std::vector<std::size_t> order(times.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         if (times[a] != times[b]) return times[a] < times[b];
-                         return kinds[a] < kinds[b];
-                       });
-      std::vector<double> st(times.size());
-      std::vector<std::uint8_t> sk(times.size());
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        st[i] = times[order[i]];
-        sk[i] = kinds[order[i]];
-      }
-      times = std::move(st);
-      kinds = std::move(sk);
-
-      if (!times.empty())
-        sim_.events().schedule_chain(
-            times, [this, s](std::size_t i) { on_timeline_entry(s, i); });
-    }
-  }
-
-  void on_timeline_entry(std::size_t s, std::size_t i) {
-    // Reports scheduled before beacons/flushes fire first at equal times
-    // in the legacy engine; materializing due reports (inclusive) at
-    // handler entry reproduces that phase order.
-    materialize_reports(sim_.now(), /*inclusive=*/true);
-    if (timeline_is_flush_[s][i])
-      flush_satellite(s);
-    else
-      beacon_slot(s);
-  }
-
-  // --- report materialization ----------------------------------------
-
-  void materialize_reports(double limit, bool inclusive) {
-    while (!report_heap_.empty()) {
-      const auto [t, n] = report_heap_.top();
-      if (inclusive ? t > limit : t >= limit) break;
-      report_heap_.pop();
-      generate_report(n, t);
-      nodes_.next_report_s[n] += nodes_.interval_s(n);
-      if (nodes_.next_report_s[n] < duration_s())
-        report_heap_.emplace(nodes_.next_report_s[n], n);
-    }
-  }
-
-  void generate_report(std::size_t n, double t) {
-    const std::uint64_t seq = nodes_.next_seq[n]++;
-    trace::UplinkRecord rec;
-    rec.sequence = seq;
-    rec.node = node_names_[n];
-    rec.payload_bytes = nodes_.payload_bytes(n);
-    rec.generated_unix_s = sim_.epoch_unix_s() + t;
-    records_[n].push_back(std::move(rec));
-    if (!nodes_.push_seq(n, seq)) {
-      ++local_drops_;
-      return;  // record stays undelivered
-    }
-  }
-
-  // --- beacon slot ----------------------------------------------------
-
-  /// Per-(beacon tick) cached footprint geometry for one location.
-  struct LocGeo {
-    std::uint64_t stamp = 0;
-    bool in_footprint = false;
-    bool masked = false;
-    orbit::LookAngles look;
-    double doppler_rate = 0.0;
-  };
-
-  /// Lazily computed, per-tick cached visibility + geometry of `loc`
-  /// from satellite `s`. Same-location nodes share one SGP4 propagation
-  /// per tick instead of one per node; the per-(sat, loc) window cursor
-  /// replaces the legacy linear in_window() scan (timeline times are
-  /// non-decreasing per satellite, windows are chronological and
-  /// disjoint, and the jd >= aos && jd <= los predicate is unchanged).
-  const LocGeo& loc_geometry(std::size_t s, std::size_t loc, JulianDate jd) {
-    LocGeo& g = loc_geo_[loc];
-    if (g.stamp == tick_stamp_) return g;
-    g.stamp = tick_stamp_;
-    const std::vector<ContactWindow>& ws = node_windows_[s][loc];
-    std::uint32_t& cur = window_cursor_[s][loc];
-    while (cur < ws.size() && jd > ws[cur].los_jd) ++cur;
-    g.in_footprint =
-        cur < ws.size() && jd >= ws[cur].aos_jd && jd <= ws[cur].los_jd;
-    if (!g.in_footprint) return g;
-    const orbit::ElevationSampler sampler(satellites_[s].propagator,
-                                          frames_[loc]);
-    g.look = sampler.look(jd);
-    g.masked = g.look.elevation_deg < cfg_.visibility_mask_deg;
-    if (g.masked) return g;
-    // Doppler rate via one-second finite difference (legacy computes the
-    // second sample only for unmasked geometry; keep that order).
-    const orbit::LookAngles look1 =
-        sampler.look(jd + 1.0 / orbit::kSecondsPerDay);
-    const double f0 = orbit::doppler_shift_hz(g.look.range_rate_km_s,
-                                              cfg_.downlink.carrier_hz);
-    const double f1 = orbit::doppler_shift_hz(look1.range_rate_km_s,
-                                              cfg_.downlink.carrier_hz);
-    g.doppler_rate = f1 - f0;
-    return g;
-  }
-
-  struct SlotResponder {
-    std::size_t node;
-    Transmission tx;
-    phy::LoraParams uplink_params;
-    phy::LinkState uplink_state;
-    orbit::LookAngles look;
-    double doppler_rate;
-  };
-
-  /// One node's response decision for the current beacon. Replicates the
-  /// legacy per-node draw order exactly: beacon link state, beacon
-  /// decode, then (only for a node with a queued report and a free
-  /// radio) the uplink link state.
-  void consider_node(std::size_t s, std::size_t n, sim::SimTime now,
-                     JulianDate jd, channel::Weather wx, sim::Rng& rng,
-                     std::vector<SlotResponder>& responders) {
-    const std::size_t loc = nodes_.loc[n];
-    const LocGeo& g = loc_geometry(s, loc, jd);
-    if (!g.in_footprint || g.masked) return;
-
-    phy::LinkConfig beacon_cfg = cfg_.downlink;
-    beacon_cfg.rx_antenna = nodes_.antenna(n);
-    const phy::LinkState beacon_state = phy::draw_link_state(
-        beacon_cfg, g.look, wx, g.doppler_rate, rng);
-    if (!error_model_.receive(beacon_state, beacon_cfg.lora,
-                              cfg_.beacon.payload_bytes, rng))
-      return;
-    ++counters_.beacons_heard;
-    if (nodes_.empty(n)) return;
-    if (now < nodes_.busy_until[n]) return;  // half-duplex: radio busy
-
-    phy::LinkConfig up_cfg = cfg_.uplink;
-    up_cfg.tx_antenna = nodes_.antenna(n);
-    if (cfg_.adaptive_sf) {
-      up_cfg.lora.sf = phy::choose_spreading_factor(
-          beacon_state.snr_db + cfg_.adr_uplink_advantage_db, 6.0);
-    }
-    phy::LinkState up_state =
-        phy::draw_link_state(up_cfg, g.look, wx, g.doppler_rate, rng);
-    if (cfg_.doppler_precompensation) {
-      up_state.doppler.shift_hz *= cfg_.precompensation_residual;
-      up_state.doppler.rate_hz_per_s *= cfg_.precompensation_residual;
-    }
-
-    SlotResponder r;
-    r.node = n;
-    r.uplink_params = up_cfg.lora;
-    r.uplink_state = up_state;
-    r.look = g.look;
-    r.doppler_rate = g.doppler_rate;
-    responders.push_back(r);
-  }
-
-  void beacon_slot(std::size_t s) {
-    ++counters_.beacons_sent;
-    ++tick_stamp_;
-    const sim::SimTime now = sim_.now();
-    const JulianDate jd = jd_at(now);
-    const channel::Weather wx = weather_at(now);
-    sim::Rng& rng = sim_.rng("dts-channel");
-
-    std::vector<SlotResponder> responders;
-    // Bit-parity mode: every node is considered in index order, so the
-    // RNG stream advances exactly as in the legacy engine (including
-    // the beacon draw for nodes with nothing to send).
-    for (std::size_t n = 0; n < nodes_.count; ++n)
-      consider_node(s, n, now, jd, wx, rng, responders);
-    if (responders.empty()) return;
-
-    double max_toa = 0.0;
-    for (const SlotResponder& r : responders) {
-      const double toa = phy::time_on_air_s(r.uplink_params,
-                                            nodes_.payload_bytes(r.node));
-      max_toa = std::max(max_toa, toa);
-    }
-    std::vector<double> offsets;
-    if (cfg_.uplink_access == UplinkAccess::kScheduled) {
-      offsets = assign_subslots(responders.size(), max_toa,
-                                cfg_.beacon.period_s);
-    } else {
-      offsets.reserve(responders.size());
-      for (std::size_t i = 0; i < responders.size(); ++i)
-        offsets.push_back(
-            rng.uniform(0.3, std::max(0.4, cfg_.beacon.period_s * 0.6)));
-    }
-    for (std::size_t i = 0; i < responders.size(); ++i) {
-      SlotResponder& r = responders[i];
-      const double toa = phy::time_on_air_s(r.uplink_params,
-                                            nodes_.payload_bytes(r.node));
-      r.tx = Transmission{static_cast<std::uint64_t>(r.node),
-                          now + offsets[i], now + offsets[i] + toa,
-                          r.uplink_state.rssi_dbm};
-      nodes_.busy_until[r.node] = r.tx.end;
-    }
-
-    std::vector<Transmission> txs;
-    txs.reserve(responders.size());
-    for (const SlotResponder& r : responders) txs.push_back(r.tx);
-
-    for (const SlotResponder& r : responders)
-      process_uplink(s, r, txs, responders.size(), wx, rng);
-  }
-
-  void process_uplink(std::size_t s, const SlotResponder& r,
-                      const std::vector<Transmission>& all_txs,
-                      std::size_t concurrency, channel::Weather wx,
-                      sim::Rng& rng) {
-    const std::size_t n = r.node;
-    if (nodes_.empty(n)) return;  // popped by an earlier event
-    const std::uint64_t seq = nodes_.front(n);
-    const int conc = static_cast<int>(std::min<std::size_t>(
-        concurrency, static_cast<std::size_t>(std::numeric_limits<int>::max())));
-
-    ++counters_.uplink_attempts;
-    nodes_.tx_seconds[n] += r.tx.end - r.tx.start;
-    ++nodes_.head_attempts[n];
-    trace::UplinkRecord* rec = &record_at(n, seq);
-    ++rec->dts_attempts;
-    rec->max_concurrent_tx = std::max(rec->max_concurrent_tx, conc);
-    const double tx_start_unix = sim_.epoch_unix_s() + r.tx.start;
-    if (rec->first_tx_unix_s < 0.0 || tx_start_unix < rec->first_tx_unix_s)
-      rec->first_tx_unix_s = tx_start_unix;
-    if (nodes_.head_first_tx_s[n] < 0.0)
-      nodes_.head_first_tx_s[n] = r.tx.start;
-
-    bool survived = survives_collisions(r.tx, all_txs, cfg_.mac);
-    if (!survived) ++counters_.uplinks_collided;
-
-    if (survived && cfg_.congestion.enabled) {
-      double loss = background_loss_probability(s, r.tx.start);
-      if (cfg_.uplink_access == UplinkAccess::kScheduled)
-        loss *= cfg_.scheduled_background_factor;
-      if (rng.chance(loss)) {
-        survived = false;
-        ++counters_.background_losses;
-        ++counters_.uplinks_collided;
-      }
-    }
-
-    const bool decoded =
-        survived && error_model_.receive(r.uplink_state, r.uplink_params,
-                                         nodes_.payload_bytes(n), rng);
-
-    bool acked = false;
-    if (decoded) {
-      ++counters_.uplinks_received;
-      const bool already_stored = nodes_.head_stored[n] != 0;
-      bool stored = already_stored;
-      if (!already_stored) {
-        StoredPacket sp;
-        sp.packet.sequence = seq;
-        sp.packet.node_index = static_cast<std::int64_t>(n);
-        sp.packet.payload_bytes = nodes_.payload_bytes(n);
-        sp.packet.generated_at = gen_time_s(n, seq);
-        sp.satellite_rx_at = r.tx.end;
-        sp.satellite_index = static_cast<std::int64_t>(s);
-        sp.first_tx_at = nodes_.head_first_tx_s[n];
-        stored = satellites_[s].buffer.store(sp);
-        if (stored) {
-          nodes_.head_stored[n] = 1;
-          if (rec) {
-            rec->satellite_rx_unix_s = sim_.epoch_unix_s() + r.tx.end;
-            rec->via_satellite = satellites_[s].name;
-          }
-        } else {
-          ++counters_.satellite_buffer_drops;
-        }
-      } else {
-        ++counters_.duplicate_uplinks;
-      }
-      if (stored) {
-        ++counters_.acks_sent;
-        phy::LinkConfig ack_cfg = cfg_.downlink;
-        ack_cfg.tx_power_dbm += cfg_.ack_power_boost_db;
-        ack_cfg.rx_antenna = nodes_.antenna(n);
-        const phy::LinkState ack_state = phy::draw_link_state(
-            ack_cfg, r.look, wx, r.doppler_rate, rng);
-        acked = error_model_.receive(ack_state, ack_cfg.lora,
-                                     cfg_.ack_payload_bytes, rng);
-      }
-    }
-
-    if (acked) {
-      ++counters_.acks_received;
-      pop_head(n);
-      return;
-    }
-    if (nodes_.head_attempts[n] > nodes_.max_retx(n)) {
-      ++packets_abandoned_;
-      pop_head(n);
-    }
-  }
-
-  void pop_head(std::size_t n) {
-    nodes_.pop_front(n);
-    nodes_.head_attempts[n] = 0;
-    nodes_.head_stored[n] = 0;
-    nodes_.head_first_tx_s[n] = -1.0;
-  }
-
-  /// Deterministic per-(satellite, time-block) background loss, cached
-  /// per satellite: the legacy engine reseeds a fresh Rng from
-  /// derive_seed per query; one cache entry per satellite serves the
-  /// whole block with identical values (same seed string, same draws).
-  [[nodiscard]] double background_loss_probability(std::size_t sat,
-                                                   sim::SimTime t) {
-    const auto& cg = cfg_.congestion;
-    const auto block = static_cast<std::uint64_t>(t / cg.block_duration_s);
-    auto& [cached_block, cached_loss] = background_cache_[sat];
-    if (cached_block == block) return cached_loss;
-    sim::Rng field(sim::derive_seed(
-        cfg_.seed, "congestion-" + std::to_string(sat) + "-" +
-                       std::to_string(block)));
-    cached_block = block;
-    if (field.chance(cg.congested_probability))
-      cached_loss = cg.congested_loss;
-    else
-      cached_loss = std::min(field.exponential(cg.nominal_load_mean), 1.0);
-    return cached_loss;
-  }
-
-  // --- ground-station flush -------------------------------------------
-
-  void flush_satellite(std::size_t s) {
-    // Legacy order contract: the empty-buffer early-out happens before
-    // the backhaul stream is touched.
-    if (satellites_[s].buffer.size() == 0) return;
-    sim::Rng& rng = sim_.rng("dts-backhaul");
-    const std::vector<StoredPacket> drained =
-        cfg_.downlink_packets_per_contact == 0
-            ? satellites_[s].buffer.flush()
-            : satellites_[s].buffer.flush_up_to(
-                  cfg_.downlink_packets_per_contact);
-    for (const StoredPacket& sp : drained) {
-      if (rng.chance(cfg_.delivery_loss_probability)) continue;
-      const double arrival = sim_.now() + backhaul_.draw_delay_s(rng);
-      trace::UplinkRecord& rec = record_at(
-          static_cast<std::size_t>(sp.packet.node_index),
-          sp.packet.sequence);
-      const double arrival_unix = sim_.epoch_unix_s() + arrival;
-      if (!rec.delivered || arrival_unix < rec.server_rx_unix_s) {
-        rec.server_rx_unix_s = arrival_unix;
-        rec.delivered = true;
-      }
-    }
-  }
-
-  /// Record for (node, seq). Sequence numbering guarantees index == seq
-  /// today; if a future change breaks that invariant, grow with
-  /// placeholder records instead of indexing out of bounds.
-  trace::UplinkRecord& record_at(std::size_t n, std::uint64_t seq) {
-    std::vector<trace::UplinkRecord>& recs = records_[n];
-    if (seq >= recs.size()) {
-      trace::UplinkRecord filler;
-      filler.node = node_names_[n];
-      while (recs.size() <= seq) {
-        filler.sequence = recs.size();
-        recs.push_back(filler);
-      }
-    }
-    return recs[seq];
-  }
-
-  // --- assembly -------------------------------------------------------
-
-  DtsNetworkResult assemble_result() {
-    DtsNetworkResult result;
-    result.counters = counters_;
-    for (std::size_t n = 0; n < nodes_.count; ++n)
-      for (trace::UplinkRecord& rec : records_[n])
-        result.uplinks.push_back(std::move(rec));
-    for (std::size_t n = 0; n < nodes_.count; ++n)
-      result.node_residency.push_back(node_residency(n));
-    detail::aggregate_from_uplinks(
-        result.uplinks, sim_.epoch_unix_s() + duration_s(),
-        detail::effective_tail_exclusion_s(cfg_), result.agg);
-    for (const energy::ResidencyTracker& t : result.node_residency)
-      for (int m = 0; m < energy::kModeCount; ++m)
-        result.agg.fleet_residency.record(
-            static_cast<energy::Mode>(m),
-            t.seconds_in(static_cast<energy::Mode>(m)));
-    result.agg.local_buffer_drops = local_drops_;
-    result.agg.packets_abandoned = packets_abandoned_;
-    publish_metrics(result);
-    return result;
-  }
-
-  /// Per-location theoretical visibility seconds over the run (the node
-  /// keeps its receiver on through every predicted pass — same model as
-  /// the legacy per-node accounting, computed once per location).
-  [[nodiscard]] double location_rx_seconds(std::size_t loc) const {
-    std::vector<ContactWindow> all;
-    for (std::size_t s = 0; s < satellites_.size(); ++s)
-      for (const ContactWindow& w : node_windows_[s][loc])
-        all.push_back(w);
-    return orbit::daily_visible_seconds(all, cfg_.start_jd,
-                                        cfg_.start_jd + cfg_.duration_days) *
-           cfg_.duration_days;
-  }
-
-  energy::ResidencyTracker node_residency(std::size_t n) {
-    const std::size_t loc = nodes_.loc[n];
-    auto it = loc_rx_seconds_.find(loc);
-    if (it == loc_rx_seconds_.end())
-      it = loc_rx_seconds_.emplace(loc, location_rx_seconds(loc)).first;
-    const double rx_s = it->second;
-    const double tx_s = nodes_.tx_seconds[n];
-    energy::ResidencyTracker t;
-    t.record(energy::Mode::kTx, tx_s);
-    t.record(energy::Mode::kRx, std::max(rx_s - tx_s, 0.0));
-    t.record(energy::Mode::kSleep,
-             std::max(duration_s() - std::max(rx_s, tx_s), 0.0));
-    return t;
-  }
-
-  [[nodiscard]] std::size_t timeline_bytes() const {
-    std::size_t b = 0;
-    for (std::size_t s = 0; s < timeline_time_.size(); ++s)
-      b += timeline_time_[s].capacity() * sizeof(double) +
-           timeline_is_flush_[s].capacity();
-    return b;
-  }
-
-  [[nodiscard]] std::size_t records_bytes() const {
-    std::size_t b = 0;
-    for (const auto& recs : records_)
-      b += recs.capacity() * sizeof(trace::UplinkRecord);
-    return b;
-  }
-
-  void publish_metrics(const DtsNetworkResult& result) {
-    if (cfg_.metrics == nullptr) return;
-    obs::MetricsRegistry& m = *cfg_.metrics;
-    m.counter("net.dts.beacons_sent").add(counters_.beacons_sent);
-    m.counter("net.dts.beacons_heard").add(counters_.beacons_heard);
-    m.counter("net.dts.uplink_attempts").add(counters_.uplink_attempts);
-    m.counter("net.dts.uplinks_received").add(counters_.uplinks_received);
-    m.counter("net.dts.uplinks_collided").add(counters_.uplinks_collided);
-    m.counter("net.dts.acks_sent").add(counters_.acks_sent);
-    m.counter("net.dts.acks_received").add(counters_.acks_received);
-    m.counter("net.dts.duplicate_uplinks").add(counters_.duplicate_uplinks);
-    m.counter("net.dts.satellite_buffer_drops")
-        .add(counters_.satellite_buffer_drops);
-    m.counter("net.dts.background_losses").add(counters_.background_losses);
-    m.counter("net.dts.reports_generated").add(result.uplinks.size());
-    m.gauge("net.dts.delivered_fraction").set(result.delivered_fraction());
-    m.gauge("net.dts.mean_end_to_end_s").set(result.mean_end_to_end_s());
-
-    // Population-scale memory/throughput gauges: the evidence that a
-    // mega-fleet run stays bounded (CI's scale-smoke job asserts these).
-    m.gauge("net.dts.scale.nodes").set(static_cast<double>(nodes_.count));
-    m.gauge("net.dts.scale.node_store_bytes")
-        .set(static_cast<double>(nodes_.approx_bytes()));
-    m.gauge("net.dts.scale.timeline_bytes")
-        .set(static_cast<double>(timeline_bytes()));
-    m.gauge("net.dts.scale.records_bytes")
-        .set(static_cast<double>(records_bytes()));
-    std::size_t peak = 0;
-    for (const Satellite& s : satellites_)
-      peak = std::max(peak, s.buffer.peak_occupancy());
-    m.gauge("net.dts.scale.sat_buffer_peak_packets")
-        .set(static_cast<double>(peak));
-    m.gauge("net.dts.scale.peak_rss_bytes")
-        .set(static_cast<double>(obs::process_peak_rss_bytes()));
-    sim_.publish_metrics();
-  }
-
-  DtsNetworkConfig cfg_;
-  sim::Simulation sim_;
-  phy::ErrorModel error_model_;
-  BackhaulModel backhaul_;
-
-  std::vector<orbit::Tle> tles_;
-  std::vector<Satellite> satellites_;
-  NodeStore nodes_;
-  std::vector<orbit::Geodetic> locations_;
-  std::vector<orbit::TopocentricFrame> frames_;  ///< per location
-  // node_windows_[sat][location], gs_windows_[sat][gs]
-  std::vector<std::vector<std::vector<ContactWindow>>> node_windows_;
-  std::vector<std::vector<std::vector<ContactWindow>>> gs_windows_;
-  std::vector<std::vector<std::uint32_t>> window_cursor_;
-
-  // Per-satellite merged timelines (parallel vectors; one chain each).
-  std::vector<std::vector<double>> timeline_time_;
-  std::vector<std::vector<std::uint8_t>> timeline_is_flush_;
-
-  // Activation heap: (next report time, node); node order at equal
-  // times matches the legacy scheduler's insertion order.
-  std::priority_queue<std::pair<double, std::uint64_t>,
-                      std::vector<std::pair<double, std::uint64_t>>,
-                      std::greater<>>
-      report_heap_;
-
-  // Per-tick geometry cache, keyed by a stamp bumped each beacon tick.
-  std::uint64_t tick_stamp_ = 0;
-  std::vector<LocGeo> loc_geo_;
-  /// Per-satellite (block, loss) cache for the congestion field.
-  std::vector<std::pair<std::uint64_t, double>> background_cache_;
-
-  std::vector<std::vector<trace::UplinkRecord>> records_;
-  std::vector<std::string> node_names_;
-  std::unordered_map<std::size_t, double> loc_rx_seconds_;
-
-  DtsCounters counters_;
-  std::uint64_t local_drops_ = 0;
-  std::uint64_t packets_abandoned_ = 0;
 };
 
 // =====================================================================
@@ -1064,6 +493,7 @@ class AggregateSimulator {
  public:
   explicit AggregateSimulator(const DtsNetworkConfig& cfg)
       : cfg_(cfg),
+        setup_(cfg),
         error_model_(cfg.error_model),
         backhaul_(cfg.delivery_backhaul),
         duration_s_(cfg.duration_days * 86400.0),
@@ -1071,17 +501,17 @@ class AggregateSimulator {
                          detail::effective_tail_exclusion_s(cfg)),
         slot_root_(sim::derive_seed(cfg.seed, "dts-slot")),
         flush_root_(sim::derive_seed(cfg.seed, "dts-flush")) {
-    detail::validate_dts_config(cfg);
-    build_satellites();
     build_nodes();
-    predict_windows();
+    background_cache_.assign(
+        setup_.satellites.size(),
+        {std::numeric_limits<std::uint64_t>::max(), 0.0});
   }
 
   DtsNetworkResult run() {
     resolve_pool();
     build_timelines();
-    sat_counters_.assign(satellites_.size(), DtsCounters{});
-    sat_agg_.assign(satellites_.size(), DtsAggregates{});
+    sat_counters_.assign(setup_.satellites.size(), DtsCounters{});
+    sat_agg_.assign(setup_.satellites.size(), DtsAggregates{});
     simulate();
     return assemble_result();
   }
@@ -1121,142 +551,25 @@ class AggregateSimulator {
     }
   }
 
-  void build_satellites() {
-    tles_ = orbit::generate_tles(cfg_.constellation, cfg_.start_jd);
-    satellites_.reserve(tles_.size());
-    for (const orbit::Tle& tle : tles_) {
-      satellites_.emplace_back(tle.name, cfg_.constellation.name, tle,
-                               cfg_.satellite_buffer_capacity);
-      satellites_.back().buffer = StoreAndForwardBuffer(
-          cfg_.satellite_buffer_capacity, cfg_.satellite_drop_policy);
-    }
-  }
-
   void build_nodes() {
-    const std::size_t count = detail::dts_node_count(cfg_);
-    std::map<LocationKey, std::size_t> loc_index;
-    std::vector<std::uint32_t> node_loc;
-    node_loc.reserve(count);
-    if (cfg_.fleet.count > 0) {
-      for (const orbit::Geodetic& site : cfg_.fleet.sites) {
-        const LocationKey k = key_of(site);
-        if (loc_index.emplace(k, locations_.size()).second)
-          locations_.push_back(site);
-      }
-      const std::size_t sites = cfg_.fleet.sites.size();
-      for (std::size_t n = 0; n < count; ++n)
-        node_loc.push_back(static_cast<std::uint32_t>(
-            loc_index.at(key_of(cfg_.fleet.sites[n % sites]))));
-    } else {
-      for (const IotNodeConfig& nc : cfg_.nodes) {
-        const LocationKey k = key_of(nc.location);
-        if (loc_index.emplace(k, locations_.size()).second)
-          locations_.push_back(nc.location);
-      }
-      for (const IotNodeConfig& nc : cfg_.nodes)
-        node_loc.push_back(static_cast<std::uint32_t>(
-            loc_index.at(key_of(nc.location))));
-    }
-    nodes_.init(cfg_, node_loc);
-    active_.resize(locations_.size());
-    active_pos_.assign(count, kNoActive);
+    nodes_.init(cfg_);
+    active_.resize(setup_.locations.size());
+    active_pos_.assign(nodes_.count, kNoActive);
 
     // Per-location report heaps: a location is a graph resource, so its
     // heap is only ever touched by one event at a time and needs no lock.
-    loc_heap_.resize(locations_.size());
-    for (std::size_t n = 0; n < count; ++n)
+    loc_heap_.resize(setup_.locations.size());
+    for (std::size_t n = 0; n < nodes_.count; ++n)
       if (nodes_.next_report_s[n] < duration_s_)
-        loc_heap_[nodes_.loc[n]].emplace(nodes_.next_report_s[n], n);
+        loc_heap_[setup_.node_loc[n]].emplace(nodes_.next_report_s[n], n);
   }
 
-  void predict_windows() {
-    orbit::PassPredictionOptions opts;
-    opts.min_elevation_deg = cfg_.visibility_mask_deg;
-    opts.coarse_step_s = cfg_.pass_scan_step_s;
-    const JulianDate end_jd = cfg_.start_jd + cfg_.duration_days;
-
-    node_windows_.assign(
-        satellites_.size(),
-        std::vector<std::vector<ContactWindow>>(locations_.size()));
-    gs_windows_.assign(
-        satellites_.size(),
-        std::vector<std::vector<ContactWindow>>(cfg_.ground_stations.size()));
-
-    std::vector<orbit::GridObserver> observers;
-    observers.reserve(locations_.size() + cfg_.ground_stations.size());
-    frames_.reserve(locations_.size());
-    for (const orbit::Geodetic& loc : locations_) {
-      observers.push_back(orbit::GridObserver{loc});
-      frames_.emplace_back(loc);
-    }
-    for (const GroundStationSite& gs : cfg_.ground_stations)
-      observers.push_back(
-          orbit::GridObserver{gs.location, gs.min_elevation_deg});
-
-    auto windows = orbit::predict_passes_grid_cached(
-        tles_, observers, cfg_.start_jd, end_jd, opts, cfg_.pass_threads,
-        &orbit::ContactWindowCache::global(), cfg_.metrics);
-    for (std::size_t s = 0; s < satellites_.size(); ++s) {
-      for (std::size_t l = 0; l < locations_.size(); ++l)
-        node_windows_[s][l] = std::move(windows[s][l]);
-      for (std::size_t g = 0; g < cfg_.ground_stations.size(); ++g)
-        gs_windows_[s][g] = std::move(windows[s][locations_.size() + g]);
-    }
-
-    background_cache_.assign(
-        satellites_.size(),
-        {std::numeric_limits<std::uint64_t>::max(), 0.0});
-  }
-
-  /// Same merged per-satellite timeline as the exact engine (beacon
-  /// ticks deduped, flushes stable-sorted behind beacons at ties),
-  /// flattened into arrays indexed by global entry id.
+  /// The shared per-satellite timelines, flattened into arrays indexed
+  /// by global entry id.
   void build_timelines() {
-    entry_base_.assign(satellites_.size() + 1, 0);
-    for (std::size_t s = 0; s < satellites_.size(); ++s) {
-      const double phase =
-          cfg_.beacon.period_s * static_cast<double>(s * 29 % 97) / 97.0;
-      std::vector<double> ticks;
-      for (const auto& windows : node_windows_[s]) {
-        for (const ContactWindow& w : windows) {
-          const double a =
-              (w.aos_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double b =
-              (w.los_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double first =
-              phase +
-              std::ceil((a - phase) / cfg_.beacon.period_s) *
-                  cfg_.beacon.period_s;
-          for (double t = first; t <= b; t += cfg_.beacon.period_s)
-            if (t >= 0.0 && t < duration_s_) ticks.push_back(t);
-        }
-      }
-      std::sort(ticks.begin(), ticks.end());
-      ticks.erase(std::unique(ticks.begin(), ticks.end()), ticks.end());
-
-      std::vector<double> flushes;
-      for (std::size_t g = 0; g < gs_windows_[s].size(); ++g) {
-        for (const ContactWindow& w : gs_windows_[s][g]) {
-          const double aos =
-              (w.aos_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double los =
-              (w.los_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          for (const double t : gs_flush_times(aos, los))
-            if (t >= 0.0 && t < duration_s_) flushes.push_back(t);
-        }
-      }
-
-      // Both lists are sorted and ticks come first in the stable order,
-      // so a merge that prefers ticks at equal times is the stable sort
-      // by (time, kind).
-      std::sort(flushes.begin(), flushes.end());
-      std::size_t i = 0, j = 0;
-      while (i < ticks.size() || j < flushes.size()) {
-        const bool tick = j == flushes.size() ||
-                          (i < ticks.size() && ticks[i] <= flushes[j]);
-        entry_time_.push_back(tick ? ticks[i++] : flushes[j++]);
-        entry_is_flush_.push_back(tick ? 0 : 1);
-      }
+    entry_base_.assign(setup_.satellites.size() + 1, 0);
+    for (std::size_t s = 0; s < setup_.satellites.size(); ++s) {
+      setup_.append_timeline(cfg_, s, entry_time_, entry_is_flush_);
       entry_base_[s + 1] = entry_time_.size();
     }
     entry_time_.shrink_to_fit();
@@ -1265,17 +578,17 @@ class AggregateSimulator {
 
   struct WindowRef {
     std::uint32_t loc;
-    std::uint32_t index;  ///< into node_windows_[s][loc]
+    std::uint32_t index;  ///< into setup_.node_windows[s][loc]
   };
 
   /// Per satellite, its (location, window index) pairs in AOS order, for
   /// the sweep that finds the locations in view at each beacon slot.
   void index_windows() {
-    by_aos_.assign(satellites_.size(), {});
-    for (std::size_t s = 0; s < satellites_.size(); ++s) {
+    by_aos_.assign(setup_.satellites.size(), {});
+    for (std::size_t s = 0; s < setup_.satellites.size(); ++s) {
       std::vector<WindowRef>& refs = by_aos_[s];
-      for (std::size_t l = 0; l < locations_.size(); ++l)
-        for (std::size_t w = 0; w < node_windows_[s][l].size(); ++w)
+      for (std::size_t l = 0; l < setup_.locations.size(); ++l)
+        for (std::size_t w = 0; w < setup_.node_windows[s][l].size(); ++w)
           refs.push_back({static_cast<std::uint32_t>(l),
                           static_cast<std::uint32_t>(w)});
       std::sort(refs.begin(), refs.end(),
@@ -1289,7 +602,7 @@ class AggregateSimulator {
 
   [[nodiscard]] const ContactWindow& window(std::size_t s,
                                             const WindowRef& r) const {
-    return node_windows_[s][r.loc][r.index];
+    return setup_.node_windows[s][r.loc][r.index];
   }
 
   /// Append the resource ids (sats + l) of every location whose contact
@@ -1307,8 +620,9 @@ class AggregateSimulator {
       return window(s, r).los_jd < jd;
     });
     const std::size_t first = res.size();
+    const std::size_t sats = setup_.satellites.size();
     for (const WindowRef& r : open)
-      res.push_back(static_cast<std::uint32_t>(satellites_.size() + r.loc));
+      res.push_back(static_cast<std::uint32_t>(sats + r.loc));
     std::sort(res.begin() + static_cast<std::ptrdiff_t>(first), res.end());
     res.erase(std::unique(res.begin() + static_cast<std::ptrdiff_t>(first),
                           res.end()),
@@ -1322,7 +636,7 @@ class AggregateSimulator {
   /// (id sats + l) in view at the slot, ascending — the order the slot
   /// visits them.
   void simulate() {
-    const auto sats = static_cast<std::uint32_t>(satellites_.size());
+    const auto sats = static_cast<std::uint32_t>(setup_.satellites.size());
     index_windows();
     open_.assign(sats, {});
     next_open_.assign(sats, 0);
@@ -1338,7 +652,7 @@ class AggregateSimulator {
     std::vector<std::uint32_t> res;
     while (!heads.empty()) {
       sim::EventGraph graph(
-          static_cast<std::uint32_t>(sats + locations_.size()));
+          static_cast<std::uint32_t>(sats + setup_.locations.size()));
       gids.clear();
       while (!heads.empty() && gids.size() < kChunkEvents) {
         const std::uint32_t s = heads.top().second;
@@ -1368,13 +682,13 @@ class AggregateSimulator {
   // --- report materialization (per location, lazily at its slots) -----
 
   void activate(std::size_t n) {
-    std::vector<std::uint32_t>& list = active_[nodes_.loc[n]];
+    std::vector<std::uint32_t>& list = active_[setup_.node_loc[n]];
     active_pos_[n] = static_cast<std::uint32_t>(list.size());
     list.push_back(static_cast<std::uint32_t>(n));
   }
 
   void deactivate(std::size_t n) {
-    std::vector<std::uint32_t>& list = active_[nodes_.loc[n]];
+    std::vector<std::uint32_t>& list = active_[setup_.node_loc[n]];
     const std::uint32_t pos = active_pos_[n];
     const std::uint32_t last = list.back();
     list[pos] = last;
@@ -1420,8 +734,8 @@ class AggregateSimulator {
   [[nodiscard]] SlotGeo slot_geometry(std::size_t s, std::size_t loc,
                                       JulianDate jd) const {
     SlotGeo g;
-    const orbit::ElevationSampler sampler(satellites_[s].propagator,
-                                          frames_[loc]);
+    const orbit::ElevationSampler sampler(setup_.satellites[s].propagator,
+                                          setup_.frames[loc]);
     g.look = sampler.look(jd);
     g.masked = g.look.elevation_deg < cfg_.visibility_mask_deg;
     if (g.masked) return g;
@@ -1515,7 +829,7 @@ class AggregateSimulator {
     std::vector<SlotResponder> responders;
     std::vector<BeaconPrep> preps;
     for (const std::uint32_t r : loc_resources) {
-      const std::size_t loc = r - satellites_.size();
+      const std::size_t loc = r - setup_.satellites.size();
       materialize_loc(loc, t, agg);
       if (active_[loc].empty()) continue;
       const SlotGeo g = slot_geometry(s, loc, jd);
@@ -1614,7 +928,7 @@ class AggregateSimulator {
         sp.satellite_rx_at = r.tx.end;
         sp.satellite_index = static_cast<std::int64_t>(s);
         sp.first_tx_at = nodes_.head_first_tx_s[n];
-        stored = satellites_[s].buffer.store(sp);
+        stored = setup_.satellites[s].buffer.store(sp);
         if (stored)
           nodes_.head_stored[n] = 1;
         else
@@ -1674,7 +988,7 @@ class AggregateSimulator {
   // --- ground-station flush -------------------------------------------
 
   void flush_satellite(std::uint32_t s, std::uint64_t gid, double t) {
-    if (satellites_[s].buffer.size() == 0) return;
+    if (setup_.satellites[s].buffer.size() == 0) return;
     DtsAggregates& agg = sat_agg_[s];
     // One deterministic stream per flush entry: the global entry id is
     // unique across satellites, so draw values are independent of event
@@ -1682,8 +996,8 @@ class AggregateSimulator {
     sim::Rng rng(sim::derive_stream(flush_root_, gid));
     const std::vector<StoredPacket> drained =
         cfg_.downlink_packets_per_contact == 0
-            ? satellites_[s].buffer.flush()
-            : satellites_[s].buffer.flush_up_to(
+            ? setup_.satellites[s].buffer.flush()
+            : setup_.satellites[s].buffer.flush_up_to(
                   cfg_.downlink_packets_per_contact);
     for (const StoredPacket& sp : drained) {
       if (rng.chance(cfg_.delivery_loss_probability)) continue;
@@ -1707,21 +1021,11 @@ class AggregateSimulator {
 
   // --- assembly -------------------------------------------------------
 
-  [[nodiscard]] double location_rx_seconds(std::size_t loc) const {
-    std::vector<ContactWindow> all;
-    for (std::size_t s = 0; s < satellites_.size(); ++s)
-      for (const ContactWindow& w : node_windows_[s][loc])
-        all.push_back(w);
-    return orbit::daily_visible_seconds(all, cfg_.start_jd,
-                                        cfg_.start_jd + cfg_.duration_days) *
-           cfg_.duration_days;
-  }
-
   DtsNetworkResult assemble_result() {
     DtsNetworkResult result;
     // Satellite partials, merged in satellite-index order — the fixed
     // merge order that keeps double sums identical for any thread count.
-    for (std::size_t s = 0; s < satellites_.size(); ++s) {
+    for (std::size_t s = 0; s < setup_.satellites.size(); ++s) {
       merge_counters(result.counters, sat_counters_[s]);
       result.agg.merge_from(sat_agg_[s]);
     }
@@ -1729,9 +1033,9 @@ class AggregateSimulator {
     // End-of-run node accounting over fixed-size blocks: reports still
     // due before the run end (never observed by any slot), the attempt
     // histogram closeout for pending heads, and fleet energy residency.
-    std::vector<double> rx_by_loc(locations_.size());
-    for (std::size_t l = 0; l < locations_.size(); ++l)
-      rx_by_loc[l] = location_rx_seconds(l);
+    std::vector<double> rx_by_loc(setup_.locations.size());
+    for (std::size_t l = 0; l < setup_.locations.size(); ++l)
+      rx_by_loc[l] = setup_.location_rx_seconds(cfg_, l);
 
     struct BlockAccum {
       std::uint64_t generated = 0, eligible = 0, drops = 0;
@@ -1756,7 +1060,7 @@ class AggregateSimulator {
         if (nodes_.head_attempts[n] > 0)
           acc.attempts.add(nodes_.head_attempts[n]);
         const double tx_s = nodes_.tx_seconds[n];
-        const double rx_s = rx_by_loc[nodes_.loc[n]];
+        const double rx_s = rx_by_loc[setup_.node_loc[n]];
         acc.tx += tx_s;
         acc.rx += std::max(rx_s - tx_s, 0.0);
         acc.sleep += std::max(duration_s_ - std::max(rx_s, tx_s), 0.0);
@@ -1792,43 +1096,16 @@ class AggregateSimulator {
     into.background_losses += from.background_losses;
   }
 
-  [[nodiscard]] std::size_t timeline_bytes() const {
-    return entry_time_.size() * sizeof(double) + entry_is_flush_.size();
-  }
-
   void publish_metrics(const DtsNetworkResult& result) {
+    detail::publish_dts_metrics(cfg_, setup_, result);
     if (cfg_.metrics == nullptr) return;
     obs::MetricsRegistry& m = *cfg_.metrics;
-    const DtsCounters& c = result.counters;
-    m.counter("net.dts.beacons_sent").add(c.beacons_sent);
-    m.counter("net.dts.beacons_heard").add(c.beacons_heard);
-    m.counter("net.dts.uplink_attempts").add(c.uplink_attempts);
-    m.counter("net.dts.uplinks_received").add(c.uplinks_received);
-    m.counter("net.dts.uplinks_collided").add(c.uplinks_collided);
-    m.counter("net.dts.acks_sent").add(c.acks_sent);
-    m.counter("net.dts.acks_received").add(c.acks_received);
-    m.counter("net.dts.duplicate_uplinks").add(c.duplicate_uplinks);
-    m.counter("net.dts.satellite_buffer_drops")
-        .add(c.satellite_buffer_drops);
-    m.counter("net.dts.background_losses").add(c.background_losses);
-    m.counter("net.dts.reports_generated")
-        .add(result.agg.reports_generated);
-    m.gauge("net.dts.delivered_fraction").set(result.delivered_fraction());
-    m.gauge("net.dts.mean_end_to_end_s").set(result.mean_end_to_end_s());
-
-    m.gauge("net.dts.scale.nodes").set(static_cast<double>(nodes_.count));
     m.gauge("net.dts.scale.node_store_bytes")
         .set(static_cast<double>(nodes_.approx_bytes()));
     m.gauge("net.dts.scale.timeline_bytes")
-        .set(static_cast<double>(timeline_bytes()));
+        .set(static_cast<double>(entry_time_.size() * sizeof(double) +
+                                 entry_is_flush_.size()));
     m.gauge("net.dts.scale.records_bytes").set(0.0);
-    std::size_t peak = 0;
-    for (const Satellite& s : satellites_)
-      peak = std::max(peak, s.buffer.peak_occupancy());
-    m.gauge("net.dts.scale.sat_buffer_peak_packets")
-        .set(static_cast<double>(peak));
-    m.gauge("net.dts.scale.peak_rss_bytes")
-        .set(static_cast<double>(obs::process_peak_rss_bytes()));
 
     // Event-graph shape: how much concurrency this config exposes. The
     // speedup over one thread is at most 1 / critical_path_share.
@@ -1841,6 +1118,7 @@ class AggregateSimulator {
   }
 
   DtsNetworkConfig cfg_;
+  detail::DtsSetup setup_;
   phy::ErrorModel error_model_;
   BackhaulModel backhaul_;
   double duration_s_;
@@ -1852,13 +1130,7 @@ class AggregateSimulator {
   sim::ThreadPool* pool_ = nullptr;
   std::unique_ptr<sim::ThreadPool> owned_pool_;
 
-  std::vector<orbit::Tle> tles_;
-  std::vector<Satellite> satellites_;
   NodeStore nodes_;
-  std::vector<orbit::Geodetic> locations_;
-  std::vector<orbit::TopocentricFrame> frames_;  ///< per location
-  std::vector<std::vector<std::vector<ContactWindow>>> node_windows_;
-  std::vector<std::vector<std::vector<ContactWindow>>> gs_windows_;
   std::vector<std::pair<std::uint64_t, double>> background_cache_;
 
   // Timelines flattened by global entry id: entry_base_[s] + i is the id
@@ -1894,21 +1166,8 @@ class AggregateSimulator {
 
 }  // namespace
 
-DtsNetworkResult run_dts_network_batched(const DtsNetworkConfig& cfg) {
-  obs::PhaseProfiler phases(cfg.metrics, "net.dts");
-  phases.phase("setup");
-  if (detail::dts_node_count(cfg) <= cfg.trace_node_threshold) {
-    BatchSimulator sim(cfg);
-    phases.phase("simulate");
-    DtsNetworkResult result = sim.run();
-    phases.stop();
-    return result;
-  }
-  AggregateSimulator sim(cfg);
-  phases.phase("simulate");
-  DtsNetworkResult result = sim.run();
-  phases.stop();
-  return result;
+DtsNetworkResult run_dts_network_aggregate(const DtsNetworkConfig& cfg) {
+  return detail::run_phased<AggregateSimulator>(cfg);
 }
 
 }  // namespace sinet::net

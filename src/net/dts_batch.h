@@ -1,35 +1,34 @@
-// Population-scale batched DtS engine (internal to src/net).
+// What the two DtS engines share (internal to src/net).
 //
-// run_dts_network() dispatches here for DtsEngine::kBatched / kAuto. The
-// engine restructures the legacy per-node-event simulator for fleets of
-// millions of nodes under thousands of satellites:
+// run_dts_network() picks one of two engines by node count:
 //
-//   * node state lives in struct-of-arrays storage (NodeStore): plain
-//     parallel vectors of doubles/integers plus a compact run-list
-//     packet buffer — no per-node std::deque, no per-node name string;
-//   * reports are never scheduled as events: an activation min-heap of
-//     (next_report_time, node) materializes every due report lazily at
-//     the handler that could observe it, preserving the legacy
-//     "reports before beacons at equal times" ordering;
-//   * each satellite owns ONE chained timeline event (beacon ticks and
-//     ground-station flushes merged in time order) via
-//     sim::EventQueue::schedule_chain, so pending events stay O(sats)
-//     instead of O(reports + ticks);
-//   * at or below cfg.trace_node_threshold nodes the engine replays the
-//     legacy RNG draw sequence exactly and emits a bit-identical
-//     DtsNetworkResult (randomized parity suite: test_dts_scale.cpp);
-//     above the threshold only nodes with queued reports are resolved
-//     per beacon and all per-packet output streams into DtsAggregates.
+//   * at or below cfg.trace_node_threshold, the exact engine
+//     (net/dts_network.cpp): one chained DES event per satellite
+//     timeline, every node considered at every beacon slot, full
+//     per-packet UplinkRecords and per-node residency;
+//   * above it, the aggregate engine (net/dts_batch.cpp): struct-of-arrays
+//     node state, reports materialized lazily per location, every
+//     timeline entry one event of a dependency graph run on all cores,
+//     per-packet output folded into DtsAggregates.
+//
+// Both engines build the same DtsSetup (satellites, deduplicated node
+// locations, contact windows), walk the same per-satellite timeline,
+// count receiver-on time with the same per-location model and publish
+// the same net.dts.* counters.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "net/dts_network.h"
+#include "obs/scoped_timer.h"
+#include "orbit/frames.h"
 
 namespace sinet::net {
 
-/// Batched-engine entry point; same contract as run_dts_network().
-[[nodiscard]] DtsNetworkResult run_dts_network_batched(
+/// Aggregate-engine entry point; same contract as run_dts_network().
+[[nodiscard]] DtsNetworkResult run_dts_network_aggregate(
     const DtsNetworkConfig& cfg);
 
 namespace detail {
@@ -42,22 +41,63 @@ namespace detail {
 [[nodiscard]] IotNodeConfig dts_node_config(const DtsNetworkConfig& cfg,
                                             std::size_t i);
 
-/// Shared config validation (throws std::invalid_argument).
-void validate_dts_config(const DtsNetworkConfig& cfg);
-
 /// Tail exclusion actually applied to eligible-packet accounting:
 /// cfg.aggregate_tail_exclusion_s clamped to half the run duration, so a
 /// short probe run still reports a nonzero eligible population. Shared by
-/// every engine (legacy, exact batched, parallel aggregate).
+/// both engines.
 [[nodiscard]] double effective_tail_exclusion_s(const DtsNetworkConfig& cfg);
 
-/// Derive the streaming aggregates from a full per-packet trace, so
-/// trace-mode results (legacy engine included) expose the same
-/// DtsAggregates surface as aggregate-mode runs. Does not touch
-/// fleet_residency.
-void aggregate_from_uplinks(const std::vector<trace::UplinkRecord>& uplinks,
-                            double run_end_unix_s, double tail_exclusion_s,
-                            DtsAggregates& agg);
+/// The world both engines simulate: the constellation's satellites, the
+/// node locations and every contact window. Construction first validates
+/// the config (throws std::invalid_argument): the duration, beacon
+/// period, report intervals, scan step and congestion block must be
+/// finite and positive.
+struct DtsSetup {
+  explicit DtsSetup(const DtsNetworkConfig& cfg);
+
+  std::vector<orbit::Tle> tles;
+  std::vector<Satellite> satellites;
+  /// Unique node locations in first-appearance order (fleet: its sites).
+  std::vector<orbit::Geodetic> locations;
+  std::vector<orbit::TopocentricFrame> frames;  ///< per location
+  std::vector<std::uint32_t> node_loc;          ///< node -> location
+  // node_windows[sat][location], gs_windows[sat][ground station]
+  std::vector<std::vector<std::vector<orbit::ContactWindow>>> node_windows;
+  std::vector<std::vector<std::vector<orbit::ContactWindow>>> gs_windows;
+
+  /// Append satellite `s`'s timeline: its beacon ticks (a per-satellite
+  /// phase on the beacon grid, inside any node location's window,
+  /// deduplicated) merged with its ground-station flushes, time-sorted,
+  /// a beacon before a flush at equal times. `is_flush` gets 0 for a
+  /// beacon entry and 1 for a flush.
+  void append_timeline(const DtsNetworkConfig& cfg, std::size_t s,
+                       std::vector<double>& times,
+                       std::vector<std::uint8_t>& is_flush) const;
+
+  /// Receiver-on seconds of a node at `loc` over the run: the node keeps
+  /// its receiver on through every predicted pass of every satellite.
+  [[nodiscard]] double location_rx_seconds(const DtsNetworkConfig& cfg,
+                                           std::size_t loc) const;
+};
+
+/// Publish the net.dts.* counters, the delivery gauges and the
+/// net.dts.scale.{nodes,sat_buffer_peak_packets,peak_rss_bytes} gauges of
+/// a finished run (no-op when cfg.metrics is null).
+void publish_dts_metrics(const DtsNetworkConfig& cfg, const DtsSetup& setup,
+                         const DtsNetworkResult& result);
+
+/// Build `Engine` from `cfg` and run it, timing the two under the
+/// net.dts.phase.setup_s / simulate_s gauges.
+template <class Engine>
+[[nodiscard]] DtsNetworkResult run_phased(const DtsNetworkConfig& cfg) {
+  obs::PhaseProfiler phases(cfg.metrics, "net.dts");
+  phases.phase("setup");
+  Engine engine(cfg);
+  phases.phase("simulate");
+  DtsNetworkResult result = engine.run();
+  phases.stop();
+  return result;
+}
 
 }  // namespace detail
 

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
 #include "net/dts_batch.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "orbit/frames.h"
 #include "sim/simulation.h"
 #include "sim/thread_pool.h"
@@ -21,49 +20,71 @@ namespace {
 using orbit::ContactWindow;
 using orbit::JulianDate;
 
-bool in_window(const std::vector<ContactWindow>& windows, JulianDate jd) {
-  for (const ContactWindow& w : windows)
-    if (jd >= w.aos_jd && jd <= w.los_jd) return true;
-  return false;
-}
-
-/// Key for grouping nodes that share a deployment location.
-struct LocationKey {
-  double lat, lon, alt;
-  bool operator<(const LocationKey& o) const {
-    return std::tie(lat, lon, alt) < std::tie(o.lat, o.lon, o.alt);
+/// Derive the streaming aggregates from a full per-packet trace, so
+/// trace-mode results expose the same DtsAggregates surface as
+/// aggregate-mode runs. Does not touch fleet_residency.
+void aggregate_from_uplinks(const std::vector<trace::UplinkRecord>& uplinks,
+                            double run_end_unix_s, double tail_exclusion_s,
+                            DtsAggregates& agg) {
+  const double eligible_before = run_end_unix_s - tail_exclusion_s;
+  for (const trace::UplinkRecord& u : uplinks) {
+    ++agg.reports_generated;
+    const bool eligible = u.generated_unix_s <= eligible_before;
+    if (eligible) ++agg.eligible_generated;
+    if (u.first_tx_unix_s >= 0.0) {
+      const double w = u.first_tx_unix_s - u.generated_unix_s;
+      agg.sum_wait_s += w;
+      ++agg.wait_samples;
+      agg.wait_s.add(w);
+    }
+    if (u.dts_attempts > 0)
+      agg.attempts.add(static_cast<double>(u.dts_attempts));
+    if (!u.delivered) continue;
+    ++agg.reports_delivered;
+    if (eligible) ++agg.eligible_delivered;
+    const double e2e = u.end_to_end_s();
+    agg.sum_end_to_end_s += e2e;
+    agg.latency_s.add(e2e);
+    if (u.first_tx_unix_s >= 0.0 && u.satellite_rx_unix_s >= 0.0) {
+      agg.sum_dts_transfer_s += u.dts_transfer_s();
+      agg.sum_delivery_s += u.delivery_s();
+      ++agg.breakdown_samples;
+    }
   }
-};
-
-LocationKey key_of(const orbit::Geodetic& g) {
-  return {g.latitude_deg, g.longitude_deg, g.altitude_km};
 }
 
+/// The exact (trace) engine: one chained DES event per satellite timeline,
+/// every node considered at every beacon slot in index order, full
+/// per-packet UplinkRecords and per-node residency. Runs at or below
+/// cfg.trace_node_threshold nodes.
 class Simulator {
  public:
   explicit Simulator(const DtsNetworkConfig& cfg)
       : cfg_(cfg),
+        setup_(cfg),
         sim_(cfg.seed, orbit::julian_to_unix(cfg.start_jd)),
         error_model_(cfg.error_model),
         backhaul_(cfg.delivery_backhaul) {
-    validate();
     sim_.attach_metrics(cfg_.metrics);
-    build_satellites();
     build_nodes();
-    predict_windows();
+    window_cursor_.assign(
+        setup_.satellites.size(),
+        std::vector<std::uint32_t>(setup_.locations.size(), 0));
+    loc_geo_.resize(setup_.locations.size());
+    background_cache_.assign(
+        setup_.satellites.size(),
+        {std::numeric_limits<std::uint64_t>::max(), 0.0});
   }
 
   DtsNetworkResult run() {
-    schedule_reports();
-    schedule_beacons();
-    schedule_gs_flushes();
+    schedule_timelines();
     sim_.run_until(duration_s());
+    for (std::size_t n = 0; n < nodes_.size(); ++n)
+      generate_reports(n, duration_s(), /*inclusive=*/false);
     return assemble_result();
   }
 
  private:
-  void validate() const { detail::validate_dts_config(cfg_); }
-
   [[nodiscard]] double duration_s() const {
     return cfg_.duration_days * 86400.0;
   }
@@ -76,114 +97,70 @@ class Simulator {
     return cfg_.daily_weather[day % cfg_.daily_weather.size()];
   }
 
-  void build_satellites() {
-    tles_ = orbit::generate_tles(cfg_.constellation, cfg_.start_jd);
-    const std::vector<orbit::Tle>& tles = tles_;
-    satellites_.reserve(tles.size());
-    for (const orbit::Tle& tle : tles) {
-      satellites_.emplace_back(tle.name, cfg_.constellation.name, tle,
-                               cfg_.satellite_buffer_capacity);
-      satellites_.back().buffer = StoreAndForwardBuffer(
-          cfg_.satellite_buffer_capacity, cfg_.satellite_drop_policy);
-    }
-  }
-
   void build_nodes() {
     const std::size_t count = detail::dts_node_count(cfg_);
     nodes_.reserve(count);
     records_.resize(count);
+    next_report_s_.reserve(count);
     // Fleet configs materialize one IotNodeConfig per node here — fine
-    // for the small populations this engine is meant for; the batched
+    // for the small populations this engine is meant for; the aggregate
     // engine reads the prototype straight into its SoA store instead.
-    for (std::size_t n = 0; n < count; ++n)
+    for (std::size_t n = 0; n < count; ++n) {
       nodes_.emplace_back(detail::dts_node_config(cfg_, n));
-  }
-
-  void predict_windows() {
-    orbit::PassPredictionOptions opts;
-    opts.min_elevation_deg = cfg_.visibility_mask_deg;
-    opts.coarse_step_s = cfg_.pass_scan_step_s;
-    const JulianDate end_jd =
-        cfg_.start_jd + cfg_.duration_days;
-
-    // Unique node locations.
-    std::map<LocationKey, std::size_t> loc_index;
-    for (const IotNodeState& n : nodes_) {
-      const LocationKey k = key_of(n.config.location);
-      if (loc_index.emplace(k, locations_.size()).second)
-        locations_.push_back(n.config.location);
-    }
-    node_location_.reserve(nodes_.size());
-    for (const IotNodeState& n : nodes_)
-      node_location_.push_back(loc_index.at(key_of(n.config.location)));
-
-    node_windows_.assign(
-        satellites_.size(),
-        std::vector<std::vector<ContactWindow>>(locations_.size()));
-    gs_windows_.assign(
-        satellites_.size(),
-        std::vector<std::vector<ContactWindow>>(cfg_.ground_stations.size()));
-
-    // ONE cached grid call covering every node location (at the
-    // visibility mask) and every ground station (at its own elevation
-    // mask): the shared-ephemeris engine propagates each satellite once
-    // per coarse step for all observers instead of once per observer.
-    // The contact-window cache still serves repeats (keys carry each
-    // observer's effective mask, so entries interoperate with the old
-    // per-observer batches); windows per pair are bit-identical to the
-    // per-location loops this replaces.
-    std::vector<orbit::GridObserver> observers;
-    observers.reserve(locations_.size() + cfg_.ground_stations.size());
-    frames_.reserve(locations_.size());
-    for (const orbit::Geodetic& loc : locations_) {
-      observers.push_back(orbit::GridObserver{loc});
-      frames_.emplace_back(loc);
-    }
-    for (const GroundStationSite& gs : cfg_.ground_stations)
-      observers.push_back(
-          orbit::GridObserver{gs.location, gs.min_elevation_deg});
-
-    auto windows = orbit::predict_passes_grid_cached(
-        tles_, observers, cfg_.start_jd, end_jd, opts, cfg_.pass_threads,
-        &orbit::ContactWindowCache::global(), cfg_.metrics);
-    for (std::size_t s = 0; s < satellites_.size(); ++s) {
-      for (std::size_t l = 0; l < locations_.size(); ++l)
-        node_windows_[s][l] = std::move(windows[s][l]);
-      for (std::size_t g = 0; g < cfg_.ground_stations.size(); ++g)
-        gs_windows_[s][g] = std::move(windows[s][locations_.size() + g]);
+      // Small per-node phase so reports are not artificially
+      // synchronized. Wrapped modulo the interval so a large node index
+      // never pushes the first report late enough to lose a whole report
+      // relative to the other nodes (every node gets the same count).
+      next_report_s_.push_back(std::fmod(60.0 * static_cast<double>(n),
+                                         nodes_[n].config.report_interval_s));
     }
   }
 
-  void schedule_reports() {
-    for (std::size_t n = 0; n < nodes_.size(); ++n) {
-      const double interval = nodes_[n].config.report_interval_s;
-      if (interval <= 0.0)
-        throw std::invalid_argument("DtsNetwork: bad report interval");
-      // Small per-node phase so reports are not artificially synchronized.
-      // Wrapped modulo the interval so a large node index never pushes
-      // the first report late enough to lose a whole report relative to
-      // the other nodes (every node gets the same report count).
-      const double phase =
-          std::fmod(60.0 * static_cast<double>(n), interval);
-      for (double t = phase; t < duration_s(); t += interval)
-        sim_.at(t, [this, n] { generate_report(n); });
+  /// One chained queue event per satellite walks its merged beacon/flush
+  /// timeline, so the queue holds one event per satellite instead of
+  /// every tick up front.
+  void schedule_timelines() {
+    timeline_is_flush_.resize(setup_.satellites.size());
+    for (std::size_t s = 0; s < setup_.satellites.size(); ++s) {
+      std::vector<double> times;
+      setup_.append_timeline(cfg_, s, times, timeline_is_flush_[s]);
+      if (times.empty()) continue;
+      sim_.events().schedule_chain(std::move(times), [this, s](std::size_t i) {
+        if (timeline_is_flush_[s][i])
+          flush_satellite(s);
+        else
+          beacon_slot(s);
+      });
     }
   }
 
-  void generate_report(std::size_t n) {
+  /// Generate node `n`'s reports due before `t` (or at `t` when
+  /// `inclusive`), one per interval from its phase. A report touches only
+  /// its node's buffer and records, and only a beacon slot reads them, so
+  /// a slot generating the node's due reports before it considers the
+  /// node is the same as one event per report fired first at equal times.
+  void generate_reports(std::size_t n, double t, bool inclusive) {
+    double& next = next_report_s_[n];
+    while (next < duration_s() && (inclusive ? next <= t : next < t)) {
+      generate_report(n, next);
+      next += nodes_[n].config.report_interval_s;
+    }
+  }
+
+  void generate_report(std::size_t n, double t) {
     IotNodeState& node = nodes_[n];
     AppPacket pkt;
     pkt.sequence = node.next_sequence++;
     pkt.node_index = static_cast<std::int64_t>(n);
     pkt.payload_bytes = node.config.report_payload_bytes;
-    pkt.generated_at = sim_.now();
+    pkt.generated_at = t;
 
     trace::UplinkRecord rec;
     rec.sequence = pkt.sequence;
     rec.node = node.config.name;
     rec.payload_bytes = pkt.payload_bytes;
-    rec.generated_unix_s = sim_.unix_now();
-    records_[n].push_back(rec);
+    rec.generated_unix_s = sim_.epoch_unix_s() + t;
+    records_[n].push_back(std::move(rec));
 
     if (node.buffer.size() >= node.config.buffer_capacity) {
       ++node.local_drops;
@@ -192,48 +169,70 @@ class Simulator {
     node.buffer.push_back(pkt);
   }
 
-  void schedule_beacons() {
-    for (std::size_t s = 0; s < satellites_.size(); ++s) {
-      // Per-satellite beacon grid: phase derived from the index so that
-      // satellites are not beacon-synchronized.
-      const double phase =
-          cfg_.beacon.period_s * static_cast<double>(s * 29 % 97) / 97.0;
-      std::vector<double> ticks;
-      for (const auto& windows : node_windows_[s]) {
-        for (const ContactWindow& w : windows) {
-          const double a =
-              (w.aos_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double b =
-              (w.los_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double first =
-              phase +
-              std::ceil((a - phase) / cfg_.beacon.period_s) *
-                  cfg_.beacon.period_s;
-          for (double t = first; t <= b; t += cfg_.beacon.period_s)
-            if (t >= 0.0 && t < duration_s()) ticks.push_back(t);
-        }
-      }
-      std::sort(ticks.begin(), ticks.end());
-      ticks.erase(std::unique(ticks.begin(), ticks.end()), ticks.end());
-      for (const double t : ticks)
-        sim_.at(t, [this, s] { beacon_slot(s); });
-    }
+  /// The beacon link of one (slot, location, antenna type) with its
+  /// deterministic part evaluated once: per node only the fading draw,
+  /// the PER and the Bernoulli draw remain (bit-identical to
+  /// draw_link_state + ErrorModel::receive).
+  struct BeaconPrep {
+    channel::AntennaType antenna;
+    phy::PreparedLink link;
+    phy::PreparedReception rx;
+  };
+
+  /// Geometry of one location at the current beacon slot, shared by every
+  /// node there: visibility, look angles, Doppler rate and beacon links.
+  struct LocGeo {
+    std::uint64_t stamp = 0;  ///< slot this entry was computed for
+    bool visible = false;     ///< in a contact window and above the mask
+    orbit::LookAngles look;
+    double doppler_rate = 0.0;
+    std::vector<BeaconPrep> beacons;  ///< one per antenna type seen
+  };
+
+  /// Geometry of `loc` from satellite `s` at the current slot, computed
+  /// once per slot. The per-(satellite, location) cursor replaces a scan
+  /// over every window: a satellite's slots come in time order and its
+  /// windows over a location are chronological and disjoint.
+  LocGeo& loc_geometry(std::size_t s, std::size_t loc, JulianDate jd) {
+    LocGeo& g = loc_geo_[loc];
+    if (g.stamp == slot_stamp_) return g;
+    g.stamp = slot_stamp_;
+    g.visible = false;
+    g.beacons.clear();
+    const std::vector<ContactWindow>& ws = setup_.node_windows[s][loc];
+    std::uint32_t& cur = window_cursor_[s][loc];
+    while (cur < ws.size() && jd > ws[cur].los_jd) ++cur;
+    if (cur == ws.size() || jd < ws[cur].aos_jd || jd > ws[cur].los_jd)
+      return g;
+
+    const orbit::ElevationSampler sampler(setup_.satellites[s].propagator,
+                                          setup_.frames[loc]);
+    g.look = sampler.look(jd);
+    if (g.look.elevation_deg < cfg_.visibility_mask_deg) return g;
+    g.visible = true;
+    // Doppler rate via one-second finite difference.
+    const orbit::LookAngles look1 =
+        sampler.look(jd + 1.0 / orbit::kSecondsPerDay);
+    const double f0 = orbit::doppler_shift_hz(g.look.range_rate_km_s,
+                                              cfg_.downlink.carrier_hz);
+    const double f1 = orbit::doppler_shift_hz(look1.range_rate_km_s,
+                                              cfg_.downlink.carrier_hz);
+    g.doppler_rate = f1 - f0;
+    return g;
   }
 
-  void schedule_gs_flushes() {
-    for (std::size_t s = 0; s < satellites_.size(); ++s) {
-      for (std::size_t g = 0; g < gs_windows_[s].size(); ++g) {
-        for (const ContactWindow& w : gs_windows_[s][g]) {
-          const double aos =
-              (w.aos_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          const double los =
-              (w.los_jd - cfg_.start_jd) * orbit::kSecondsPerDay;
-          for (const double t : gs_flush_times(aos, los))
-            if (t >= 0.0 && t < duration_s())
-              sim_.at(t, [this, s] { flush_satellite(s); });
-        }
-      }
-    }
+  const BeaconPrep& beacon_prep(LocGeo& g, channel::AntennaType antenna,
+                                channel::Weather wx) const {
+    for (const BeaconPrep& p : g.beacons)
+      if (p.antenna == antenna) return p;
+    phy::LinkConfig beacon_cfg = cfg_.downlink;
+    beacon_cfg.rx_antenna = antenna;
+    const phy::PreparedLink link(beacon_cfg, g.look, wx, g.doppler_rate);
+    g.beacons.push_back(BeaconPrep{
+        antenna, link,
+        error_model_.prepare(link.mean().doppler, beacon_cfg.lora,
+                             cfg_.beacon.payload_bytes)});
+    return g.beacons.back();
   }
 
   struct SlotResponder {
@@ -247,6 +246,7 @@ class Simulator {
 
   void beacon_slot(std::size_t s) {
     ++counters_.beacons_sent;
+    ++slot_stamp_;
     const sim::SimTime now = sim_.now();
     const JulianDate jd = jd_at(now);
     const channel::Weather wx = weather_at(now);
@@ -254,33 +254,15 @@ class Simulator {
 
     std::vector<SlotResponder> responders;
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
+      generate_reports(n, now, /*inclusive=*/true);
       IotNodeState& node = nodes_[n];
-      const std::size_t loc = node_location_[n];
-      if (!in_window(node_windows_[s][loc], jd)) continue;
-
-      const orbit::ElevationSampler sampler(satellites_[s].propagator,
-                                            frames_[loc]);
-      const orbit::LookAngles look = sampler.look(jd);
-      if (look.elevation_deg < cfg_.visibility_mask_deg) continue;
-
-      // Doppler rate via one-second finite difference.
-      const orbit::LookAngles look1 =
-          sampler.look(jd + 1.0 / orbit::kSecondsPerDay);
-      const double f0 = orbit::doppler_shift_hz(look.range_rate_km_s,
-                                                cfg_.downlink.carrier_hz);
-      const double f1 = orbit::doppler_shift_hz(look1.range_rate_km_s,
-                                                cfg_.downlink.carrier_hz);
-      const double doppler_rate = f1 - f0;
+      LocGeo& g = loc_geometry(s, setup_.node_loc[n], jd);
+      if (!g.visible) continue;
 
       // Beacon reception at the node (satellite -> node link).
-      phy::LinkConfig beacon_cfg = cfg_.downlink;
-      beacon_cfg.rx_antenna = node.config.antenna;
-      const phy::LinkState beacon_state = phy::draw_link_state(
-          beacon_cfg, look, wx, doppler_rate, rng);
-      if (!error_model_.receive(beacon_state, beacon_cfg.lora,
-                                cfg_.beacon.payload_bytes, rng))
-        continue;
-      ++node.beacons_heard;
+      const BeaconPrep& beacon = beacon_prep(g, node.config.antenna, wx);
+      const phy::LinkState beacon_state = beacon.link.draw(rng);
+      if (!beacon.rx.receive(beacon_state.snr_db, rng)) continue;
       ++counters_.beacons_heard;
       if (node.buffer.empty()) continue;
       if (now < node.busy_until) continue;  // half-duplex: radio busy
@@ -296,7 +278,7 @@ class Simulator {
             beacon_state.snr_db + cfg_.adr_uplink_advantage_db, 6.0);
       }
       phy::LinkState up_state =
-          phy::draw_link_state(up_cfg, look, wx, doppler_rate, rng);
+          phy::draw_link_state(up_cfg, g.look, wx, g.doppler_rate, rng);
       if (cfg_.doppler_precompensation) {
         up_state.doppler.shift_hz *= cfg_.precompensation_residual;
         up_state.doppler.rate_hz_per_s *= cfg_.precompensation_residual;
@@ -306,8 +288,8 @@ class Simulator {
       r.node = n;
       r.uplink_params = up_cfg.lora;
       r.uplink_state = up_state;
-      r.look = look;
-      r.doppler_rate = doppler_rate;
+      r.look = g.look;
+      r.doppler_rate = g.doppler_rate;
       responders.push_back(r);
     }
     if (responders.empty()) return;
@@ -360,11 +342,8 @@ class Simulator {
     trace::UplinkRecord& rec = record_at(r.node, pkt.sequence);
 
     ++counters_.uplink_attempts;
-    ++node.tx_attempts;
     node.tx_seconds += r.tx.end - r.tx.start;
     ++node.head_attempts;
-    node.head_max_concurrency =
-        std::max(node.head_max_concurrency, concurrency);
     ++rec.dts_attempts;
     rec.max_concurrent_tx =
         std::max(rec.max_concurrent_tx, concurrency);
@@ -405,10 +384,10 @@ class Simulator {
             rec.first_tx_unix_s < 0.0
                 ? -1.0
                 : rec.first_tx_unix_s - sim_.epoch_unix_s();
-        stored = satellites_[s].buffer.store(sp);
+        stored = setup_.satellites[s].buffer.store(sp);
         if (stored) {
           rec.satellite_rx_unix_s = sim_.epoch_unix_s() + r.tx.end;
-          rec.via_satellite = satellites_[s].name;
+          rec.via_satellite = setup_.satellites[s].name;
         } else {
           ++counters_.satellite_buffer_drops;
         }
@@ -430,7 +409,6 @@ class Simulator {
 
     if (acked) {
       ++counters_.acks_received;
-      ++node.acks_received;
       pop_head(node);
       return;
     }
@@ -443,22 +421,28 @@ class Simulator {
 
   /// Deterministic per-(satellite, time-block) background loss field:
   /// the same block always evaluates to the same load for a given seed,
-  /// giving congested passes their temporal coherence.
+  /// giving congested passes their temporal coherence. One (block, loss)
+  /// entry per satellite serves a whole block's queries.
   [[nodiscard]] double background_loss_probability(std::size_t sat,
-                                                   sim::SimTime t) const {
+                                                   sim::SimTime t) {
     const auto& cg = cfg_.congestion;
     const auto block = static_cast<std::uint64_t>(t / cg.block_duration_s);
+    auto& [cached_block, cached_loss] = background_cache_[sat];
+    if (cached_block == block) return cached_loss;
     sim::Rng field(sim::derive_seed(
         cfg_.seed, "congestion-" + std::to_string(sat) + "-" +
                        std::to_string(block)));
-    if (field.chance(cg.congested_probability)) return cg.congested_loss;
-    return std::min(field.exponential(cg.nominal_load_mean), 1.0);
+    cached_block = block;
+    if (field.chance(cg.congested_probability))
+      cached_loss = cg.congested_loss;
+    else
+      cached_loss = std::min(field.exponential(cg.nominal_load_mean), 1.0);
+    return cached_loss;
   }
 
   static void pop_head(IotNodeState& node) {
     node.buffer.pop_front();
     node.head_attempts = 0;
-    node.head_max_concurrency = 0;
   }
 
   /// Record for (node, seq). Sequence numbering guarantees index == seq
@@ -479,13 +463,15 @@ class Simulator {
   }
 
   void flush_satellite(std::size_t s) {
-    if (satellites_[s].buffer.size() == 0) return;
+    StoreAndForwardBuffer& buffer = setup_.satellites[s].buffer;
+    // The empty-buffer early-out comes before the backhaul stream is
+    // touched.
+    if (buffer.size() == 0) return;
     sim::Rng& rng = sim_.rng("dts-backhaul");
     const std::vector<StoredPacket> drained =
         cfg_.downlink_packets_per_contact == 0
-            ? satellites_[s].buffer.flush()
-            : satellites_[s].buffer.flush_up_to(
-                  cfg_.downlink_packets_per_contact);
+            ? buffer.flush()
+            : buffer.flush_up_to(cfg_.downlink_packets_per_contact);
     for (const StoredPacket& sp : drained) {
       if (rng.chance(cfg_.delivery_loss_probability)) continue;
       const double arrival = sim_.now() + backhaul_.draw_delay_s(rng);
@@ -503,12 +489,34 @@ class Simulator {
   DtsNetworkResult assemble_result() {
     DtsNetworkResult result;
     result.counters = counters_;
+    std::size_t reports = 0;
+    for (const auto& recs : records_) reports += recs.size();
+    result.uplinks.reserve(reports);
+    for (auto& recs : records_)
+      for (trace::UplinkRecord& rec : recs)
+        result.uplinks.push_back(std::move(rec));
+    records_.clear();
+
+    // Energy accounting: the node holds MCU+Rx through the *theoretical*
+    // visibility of the constellation (it tracks TLEs but cannot know the
+    // effective windows in advance — the very effect the paper blames for
+    // the battery gap), transmits for its accumulated airtime, and sleeps
+    // the rest.
+    std::vector<double> rx_by_loc(setup_.locations.size());
+    for (std::size_t l = 0; l < rx_by_loc.size(); ++l)
+      rx_by_loc[l] = setup_.location_rx_seconds(cfg_, l);
+    result.node_residency.reserve(nodes_.size());
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
-      for (trace::UplinkRecord& rec : records_[n])
-        result.uplinks.push_back(rec);
-      result.node_residency.push_back(node_residency(n));
+      const double rx_s = rx_by_loc[setup_.node_loc[n]];
+      const double tx_s = nodes_[n].tx_seconds;
+      energy::ResidencyTracker& t = result.node_residency.emplace_back();
+      t.record(energy::Mode::kTx, tx_s);
+      t.record(energy::Mode::kRx, std::max(rx_s - tx_s, 0.0));
+      t.record(energy::Mode::kSleep,
+               std::max(duration_s() - std::max(rx_s, tx_s), 0.0));
     }
-    detail::aggregate_from_uplinks(
+
+    aggregate_from_uplinks(
         result.uplinks, sim_.epoch_unix_s() + duration_s(),
         detail::effective_tail_exclusion_s(cfg_), result.agg);
     for (const IotNodeState& node : nodes_) {
@@ -520,69 +528,37 @@ class Simulator {
         result.agg.fleet_residency.record(
             static_cast<energy::Mode>(m),
             t.seconds_in(static_cast<energy::Mode>(m)));
-    publish_metrics(result);
+
+    detail::publish_dts_metrics(cfg_, setup_, result);
+    if (cfg_.metrics != nullptr) {
+      cfg_.metrics->gauge("net.dts.scale.records_bytes")
+          .set(static_cast<double>(result.uplinks.capacity() *
+                                   sizeof(trace::UplinkRecord)));
+      sim_.publish_metrics();
+    }
     return result;
   }
 
-  void publish_metrics(const DtsNetworkResult& result) {
-    if (cfg_.metrics == nullptr) return;
-    obs::MetricsRegistry& m = *cfg_.metrics;
-    m.counter("net.dts.beacons_sent").add(counters_.beacons_sent);
-    m.counter("net.dts.beacons_heard").add(counters_.beacons_heard);
-    m.counter("net.dts.uplink_attempts").add(counters_.uplink_attempts);
-    m.counter("net.dts.uplinks_received").add(counters_.uplinks_received);
-    m.counter("net.dts.uplinks_collided").add(counters_.uplinks_collided);
-    m.counter("net.dts.acks_sent").add(counters_.acks_sent);
-    m.counter("net.dts.acks_received").add(counters_.acks_received);
-    m.counter("net.dts.duplicate_uplinks").add(counters_.duplicate_uplinks);
-    m.counter("net.dts.satellite_buffer_drops")
-        .add(counters_.satellite_buffer_drops);
-    m.counter("net.dts.background_losses").add(counters_.background_losses);
-    m.counter("net.dts.reports_generated").add(result.uplinks.size());
-    m.gauge("net.dts.delivered_fraction").set(result.delivered_fraction());
-    m.gauge("net.dts.mean_end_to_end_s").set(result.mean_end_to_end_s());
-    sim_.publish_metrics();
-  }
-
-  /// Energy accounting: the node holds MCU+Rx through the *theoretical*
-  /// visibility of the constellation (it tracks TLEs but cannot know the
-  /// effective windows in advance — the very effect the paper blames for
-  /// the battery gap), transmits for its accumulated airtime, and sleeps
-  /// the rest.
-  energy::ResidencyTracker node_residency(std::size_t n) const {
-    const std::size_t loc = node_location_[n];
-    std::vector<ContactWindow> all;
-    for (std::size_t s = 0; s < satellites_.size(); ++s)
-      for (const ContactWindow& w : node_windows_[s][loc])
-        all.push_back(w);
-    const double rx_s = orbit::daily_visible_seconds(
-                            all, cfg_.start_jd,
-                            cfg_.start_jd + cfg_.duration_days) *
-                        cfg_.duration_days;
-    const double tx_s = nodes_[n].tx_seconds;
-    energy::ResidencyTracker t;
-    t.record(energy::Mode::kTx, tx_s);
-    t.record(energy::Mode::kRx, std::max(rx_s - tx_s, 0.0));
-    t.record(energy::Mode::kSleep,
-             std::max(duration_s() - std::max(rx_s, tx_s), 0.0));
-    return t;
-  }
-
   DtsNetworkConfig cfg_;
+  detail::DtsSetup setup_;
   sim::Simulation sim_;
   phy::ErrorModel error_model_;
   BackhaulModel backhaul_;
 
-  std::vector<orbit::Tle> tles_;
-  std::vector<Satellite> satellites_;
   std::vector<IotNodeState> nodes_;
-  std::vector<orbit::Geodetic> locations_;
-  std::vector<orbit::TopocentricFrame> frames_;  ///< per location
-  std::vector<std::size_t> node_location_;
-  // node_windows_[sat][location], gs_windows_[sat][gs]
-  std::vector<std::vector<std::vector<ContactWindow>>> node_windows_;
-  std::vector<std::vector<std::vector<ContactWindow>>> gs_windows_;
+  std::vector<double> next_report_s_;  ///< per node, by repeated addition
   std::vector<std::vector<trace::UplinkRecord>> records_;  // per node, by seq
+  /// Per satellite, whether each timeline entry is a flush (else a beacon).
+  std::vector<std::vector<std::uint8_t>> timeline_is_flush_;
+
+  // Per-slot location geometry, keyed by a stamp bumped each beacon slot,
+  // and each (satellite, location)'s first window not yet over.
+  std::uint64_t slot_stamp_ = 0;
+  std::vector<LocGeo> loc_geo_;
+  std::vector<std::vector<std::uint32_t>> window_cursor_;
+  /// Per-satellite (block, loss) cache of the congestion field.
+  std::vector<std::pair<std::uint64_t, double>> background_cache_;
+
   DtsCounters counters_;
 };
 
@@ -813,14 +789,9 @@ DtsNetworkResult run_dts_network(const DtsNetworkConfig& cfg) {
   // registry (the scope detaches on exit: the pool outlives cfg.metrics).
   sim::ThreadPool::MetricsScope pool_scope(sim::ThreadPool::shared(),
                                            cfg.metrics);
-  if (cfg.engine != DtsEngine::kLegacy) return run_dts_network_batched(cfg);
-  obs::PhaseProfiler phases(cfg.metrics, "net.dts");
-  phases.phase("setup");
-  Simulator sim(cfg);
-  phases.phase("simulate");
-  DtsNetworkResult result = sim.run();
-  phases.stop();
-  return result;
+  if (detail::dts_node_count(cfg) > cfg.trace_node_threshold)
+    return run_dts_network_aggregate(cfg);
+  return detail::run_phased<Simulator>(cfg);
 }
 
 }  // namespace sinet::net

@@ -38,30 +38,12 @@ class MetricsRegistry;
 
 namespace sinet::net {
 
-/// Which DES engine runs the DtS pipeline.
-///
-/// kLegacy is the original per-node-event simulator (one queue event per
-/// report, per-satellite beacon events iterating every node). kBatched is
-/// the population-scale engine: struct-of-arrays node state, lazy report
-/// materialization from an activation heap, and one chained timeline
-/// event per satellite. Below DtsNetworkConfig::trace_node_threshold the
-/// batched engine replays the legacy RNG draw order bit-for-bit and its
-/// DtsNetworkResult is EXPECT_EQ-identical (enforced by the randomized
-/// parity suite in test_dts_scale.cpp); above it, it switches to
-/// active-node-only resolution with streaming aggregates. kAuto resolves
-/// to kBatched.
-enum class DtsEngine {
-  kAuto = 0,
-  kLegacy,
-  kBatched,
-};
-
 /// Compact description of a uniform mega-fleet: `count` nodes cloned from
 /// `prototype`, deployed round-robin across `sites` (node i lives at
 /// sites[i % sites.size()] and is named "<prototype.name>-<i>" where a
 /// name is needed). Avoids materializing one IotNodeConfig — with its
 /// heap-allocated name — per node when count is in the millions; the
-/// batched engine reads the prototype straight into its SoA arrays.
+/// aggregate engine reads the prototype straight into its SoA arrays.
 struct NodeFleet {
   std::size_t count = 0;  ///< 0 = use DtsNetworkConfig::nodes instead
   std::vector<orbit::Geodetic> sites;
@@ -142,13 +124,13 @@ struct DtsNetworkConfig {
   BackhaulConfig delivery_backhaul;
   std::size_t satellite_buffer_capacity = 4096;
 
-  /// Engine selection (see DtsEngine). kAuto runs the batched engine.
-  DtsEngine engine = DtsEngine::kAuto;
-  /// Node-count boundary of the batched engine's two modes. At or below
-  /// the threshold it keeps full per-packet UplinkRecords / per-node
-  /// residency and reproduces the legacy engine bit-for-bit; above it,
-  /// results carry only DtsAggregates (uplinks/node_residency stay
-  /// empty) and memory stays O(nodes + pending), not O(reports).
+  /// Selects the engine by node count. At or below it the exact engine
+  /// runs: one chained event per satellite timeline, every node
+  /// considered at every beacon, full per-packet UplinkRecords and
+  /// per-node residency. Above it the
+  /// aggregate engine runs: results carry only DtsAggregates
+  /// (uplinks/node_residency stay empty) and memory stays
+  /// O(nodes + pending), not O(reports).
   std::size_t trace_node_threshold = 4096;
   /// Tail exclusion (s) for the aggregate eligible-delivery ratio:
   /// reports generated within this long of the run end are not counted
@@ -169,14 +151,13 @@ struct DtsNetworkConfig {
   /// Pass-prediction fan-out (orbit::predict_passes_batch): 0 = all
   /// hardware threads, 1 = exact serial legacy path.
   unsigned pass_threads = 0;
-  /// Worker threads for the parallel aggregate-mode DES itself (runs above
+  /// Worker threads for the aggregate engine (runs above
   /// trace_node_threshold nodes): 0 = all hardware threads, 1 = run the
   /// event graph inline on the calling thread. Results are
   /// thread-count-invariant BY CONSTRUCTION — every aggregate counter,
   /// histogram bin and residency mode is bit-identical for any value
   /// (enforced by tests/test_dts_parallel.cpp); the knob only changes
-  /// wall-clock time. Exact (trace) mode is a serial bit-parity replay of
-  /// the legacy engine and ignores this field.
+  /// wall-clock time. The exact engine is serial and ignores this field.
   unsigned sim_threads = 0;
 
   std::uint64_t seed = 42;
@@ -248,7 +229,7 @@ struct DtsAggregates {
 
   /// Fold a partial into this aggregate: counter addition, double-sum
   /// addition, stats::Histogram::merge on each histogram and per-mode
-  /// residency addition. The parallel engine calls this in satellite
+  /// residency addition. The aggregate engine calls this in satellite
   /// order after the run, which is what keeps the merged double sums
   /// bit-identical across thread counts.
   void merge_from(const DtsAggregates& other);
@@ -293,9 +274,10 @@ struct DtsNetworkResult {
     std::size_t site_count, orbit::JulianDate start_jd,
     double duration_days = 1.0);
 
-/// Run the full simulation with the engine selected by cfg.engine.
+/// Run the full simulation: the exact engine at or below
+/// cfg.trace_node_threshold nodes, the aggregate engine above it.
 /// Throws std::invalid_argument on nonsensical configuration (no nodes,
-/// nonpositive duration, ...).
+/// a nonpositive or non-finite duration, period, interval or step, ...).
 [[nodiscard]] DtsNetworkResult run_dts_network(const DtsNetworkConfig& cfg);
 
 }  // namespace sinet::net

@@ -32,7 +32,6 @@ struct IotNodeState {
   std::uint64_t next_sequence = 0;
   std::deque<AppPacket> buffer;     ///< reports waiting for a satellite
   int head_attempts = 0;            ///< attempts spent on buffer front
-  int head_max_concurrency = 0;     ///< peak concurrency on buffer front
   /// Radio busy with an uplink until this sim time: a node answers at
   /// most one beacon at a time (half-duplex single radio). The busy test
   /// is strict (`now < busy_until`), so 0.0 — "never transmitted" — can
@@ -43,13 +42,8 @@ struct IotNodeState {
   /// in test_dts_scale.cpp pins the t = 0 behavior either way.
   sim::SimTime busy_until = 0.0;
   std::size_t local_drops = 0;      ///< reports lost to buffer overflow
-
-  // Counters for the measurement reports.
-  std::uint64_t beacons_heard = 0;
-  std::uint64_t tx_attempts = 0;
-  std::uint64_t acks_received = 0;
   std::uint64_t packets_abandoned = 0;  ///< ARQ budget exhausted
-  double tx_seconds = 0.0;
+  double tx_seconds = 0.0;              ///< airtime, for energy residency
 
   explicit IotNodeState(IotNodeConfig cfg) : config(std::move(cfg)) {}
 };

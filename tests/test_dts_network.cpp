@@ -4,6 +4,7 @@
 // so the suite stays fast; the benches run the full-scale configurations.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 
@@ -154,6 +155,41 @@ TEST(DtsNetwork, ConfigValidation) {
   DtsNetworkConfig cfg4 = small_config();
   cfg4.beacon.period_s = 0.1;
   EXPECT_THROW(run_dts_network(cfg4), std::invalid_argument);
+
+  // Non-finite values are rejected too: NaN passes a `x <= 0.0` test, and
+  // an infinite duration or step would ask for an unbounded run.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    DtsNetworkConfig days = small_config();
+    days.duration_days = bad;
+    EXPECT_THROW(run_dts_network(days), std::invalid_argument);
+    DtsNetworkConfig period = small_config();
+    period.beacon.period_s = bad;
+    EXPECT_THROW(run_dts_network(period), std::invalid_argument);
+    DtsNetworkConfig interval = small_config();
+    interval.nodes.back().report_interval_s = bad;
+    EXPECT_THROW(run_dts_network(interval), std::invalid_argument);
+    DtsNetworkConfig fleet = small_config();
+    fleet.fleet.count = 4;
+    fleet.fleet.sites = {fleet.nodes.front().location};
+    fleet.fleet.prototype = fleet.nodes.front();
+    fleet.fleet.prototype.report_interval_s = bad;
+    fleet.nodes.clear();
+    EXPECT_THROW(run_dts_network(fleet), std::invalid_argument);
+    DtsNetworkConfig step = small_config();
+    step.pass_scan_step_s = bad;
+    EXPECT_THROW(run_dts_network(step), std::invalid_argument);
+    DtsNetworkConfig block = small_config();
+    block.congestion.block_duration_s = bad;
+    EXPECT_THROW(run_dts_network(block), std::invalid_argument);
+  }
+  DtsNetworkConfig step = small_config();
+  step.pass_scan_step_s = 0.0;
+  EXPECT_THROW(run_dts_network(step), std::invalid_argument);
+  DtsNetworkConfig block = small_config();
+  block.congestion.block_duration_s = 0.0;
+  EXPECT_THROW(run_dts_network(block), std::invalid_argument);
 }
 
 TEST(DtsNetwork, CongestionCausesBackgroundLosses) {

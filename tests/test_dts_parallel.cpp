@@ -238,7 +238,7 @@ TEST(DtsParallel, EventGraphExposesParallelism) {
 }
 
 TEST(DtsParallel, ExactModeIgnoresThreads) {
-  // Below the trace threshold the bit-parity exact engine runs; the
+  // Below the trace threshold the serial exact engine runs; the
   // thread knob must not reroute those configs into the parallel engine.
   DtsNetworkConfig cfg = parallel_config(48, 0.1);
   cfg.trace_node_threshold = 64;  // 48 nodes <= threshold: exact mode

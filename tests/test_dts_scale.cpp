@@ -1,16 +1,20 @@
 // Population-scale DtS engine tests.
 //
-// The centerpiece is the randomized parity suite: below the trace
-// threshold the batched engine must reproduce the legacy per-node-event
-// engine's DtsNetworkResult bit for bit — same uplink records, same
-// counters, same residency — across a wide sweep of seeded
-// configurations. The rest are the scale-bug sweep regressions: 64-bit
-// index widths, the busy_until sentinel, record growth under
-// drop/ARQ interleaving, and aggregate-mode determinism with bounded
-// memory gauges.
+// The centerpiece is the exact-engine golden corpus: 57 seeded small-N
+// configurations whose every counter, aggregate sum and per-packet
+// UplinkRecord (folded into a 64-bit hash) must match
+// tests/data/dts_exact_golden.txt, recorded while a second exact engine
+// still replayed the reference one bit for bit. The rest are the
+// scale-bug sweep regressions: 64-bit index widths, the busy_until
+// sentinel, record growth under drop/ARQ interleaving, and aggregate-mode
+// determinism with bounded memory gauges.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,12 +32,12 @@ namespace {
 using namespace sinet;
 using namespace sinet::net;
 
-// --- parity suite ----------------------------------------------------
+// --- exact-engine golden corpus --------------------------------------
 
 /// One randomized small-N configuration, derived deterministically from
 /// the case index. Varies every knob that changes the draw sequence:
 /// access scheme, ARQ budget, congestion, ADR, Doppler precompensation,
-/// drop policy, buffer sizes, report cadence, sites and seed.
+/// drop policy, buffer sizes, report cadence, sites, antennas and seed.
 DtsNetworkConfig parity_case(std::size_t nodes, std::uint64_t case_id) {
   sim::Rng knobs(sim::derive_seed(case_id, "dts-parity-case"));
   const double duration_days = 0.15 + 0.05 * static_cast<double>(case_id % 4);
@@ -49,6 +53,11 @@ DtsNetworkConfig parity_case(std::size_t nodes, std::uint64_t case_id) {
     IotNodeConfig nc;
     nc.name = "P-node-" + std::to_string(n);
     nc.location = (case_id % 2 == 1 && n % 3 == 2) ? ridge : farm;
+    // Even cases mix two antenna types at the farm, so a per-location
+    // link cache that ignored the antenna would hand odd nodes the even
+    // nodes' beacon link.
+    if (case_id % 2 == 0 && n % 2 == 1)
+      nc.antenna = channel::AntennaType::kFiveEighthsWaveMonopole;
     nc.report_payload_bytes = 12 + static_cast<int>(knobs.uniform_int(0, 3)) * 8;
     nc.report_interval_s = 600.0 * static_cast<double>(knobs.uniform_int(1, 4));
     nc.max_retransmissions = static_cast<int>(knobs.uniform_int(0, 5));
@@ -71,6 +80,156 @@ DtsNetworkConfig parity_case(std::size_t nodes, std::uint64_t case_id) {
   return cfg;
 }
 
+/// buffer_capacity=1 with a fast report cadence forces constant local
+/// drops interleaved with ARQ retransmissions — the pattern that opens
+/// gaps in the per-node sequence runs.
+DtsNetworkConfig tiny_buffer_config() {
+  DtsNetworkConfig cfg =
+      tianqi_agriculture_config(core::campaign_epoch_jd(), 0.3);
+  cfg.seed = 77;
+  for (auto& nc : cfg.nodes) {
+    nc.buffer_capacity = 1;
+    nc.report_interval_s = 300.0;
+    nc.max_retransmissions = 3;
+  }
+  return cfg;
+}
+
+/// 64-bit FNV-1a over the bytes of every value fed to it.
+class TraceHash {
+ public:
+  template <class T>
+  void add(const T& v) {
+    unsigned char b[sizeof(T)];
+    std::memcpy(b, &v, sizeof(T));
+    for (const unsigned char c : b) mix(c);
+  }
+  void add(const std::string& s) {
+    add(s.size());
+    for (const char c : s) mix(static_cast<unsigned char>(c));
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  void mix(unsigned char c) {
+    h_ ^= c;
+    h_ *= 1099511628211ull;
+  }
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+/// One golden line: `label`, then every counter and aggregate of `r`
+/// as name=value (doubles as %.17g, so two lines are equal iff the
+/// values are bit-identical), then a hash over every UplinkRecord field
+/// and every node's residency per mode.
+std::string golden_line(const std::string& label, const DtsNetworkResult& r) {
+  std::string out = label;
+  const auto count = [&](const char* name, std::uint64_t v) {
+    out += std::string(" ") + name + "=" + std::to_string(v);
+  };
+  const auto real = [&](const char* name, double v) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf, " %s=%.17g", name, v);
+    out += buf;
+  };
+  const DtsCounters& c = r.counters;
+  count("beacons_sent", c.beacons_sent);
+  count("beacons_heard", c.beacons_heard);
+  count("uplink_attempts", c.uplink_attempts);
+  count("uplinks_received", c.uplinks_received);
+  count("uplinks_collided", c.uplinks_collided);
+  count("acks_sent", c.acks_sent);
+  count("acks_received", c.acks_received);
+  count("duplicate_uplinks", c.duplicate_uplinks);
+  count("satellite_buffer_drops", c.satellite_buffer_drops);
+  count("background_losses", c.background_losses);
+  const DtsAggregates& a = r.agg;
+  count("reports_generated", a.reports_generated);
+  count("reports_delivered", a.reports_delivered);
+  count("eligible_generated", a.eligible_generated);
+  count("eligible_delivered", a.eligible_delivered);
+  count("local_buffer_drops", a.local_buffer_drops);
+  count("packets_abandoned", a.packets_abandoned);
+  real("sum_end_to_end_s", a.sum_end_to_end_s);
+  real("sum_wait_s", a.sum_wait_s);
+  count("wait_samples", a.wait_samples);
+  real("sum_dts_transfer_s", a.sum_dts_transfer_s);
+  real("sum_delivery_s", a.sum_delivery_s);
+  count("breakdown_samples", a.breakdown_samples);
+  for (int m = 0; m < energy::kModeCount; ++m)
+    real(("residency" + std::to_string(m)).c_str(),
+         a.fleet_residency.seconds_in(static_cast<energy::Mode>(m)));
+
+  TraceHash h;
+  for (const trace::UplinkRecord& u : r.uplinks) {
+    h.add(u.sequence);
+    h.add(u.node);
+    h.add(u.payload_bytes);
+    h.add(u.generated_unix_s);
+    h.add(u.first_tx_unix_s);
+    h.add(u.satellite_rx_unix_s);
+    h.add(u.server_rx_unix_s);
+    h.add(u.dts_attempts);
+    h.add(u.max_concurrent_tx);
+    h.add(u.delivered);
+    h.add(u.via_satellite);
+  }
+  for (const energy::ResidencyTracker& t : r.node_residency)
+    for (int m = 0; m < energy::kModeCount; ++m)
+      h.add(t.seconds_in(static_cast<energy::Mode>(m)));
+  count("uplinks", r.uplinks.size());
+  count("nodes", r.node_residency.size());
+  char hex[48];
+  std::snprintf(hex, sizeof hex, " trace_hash=%016llx",
+                static_cast<unsigned long long>(h.value()));
+  out += hex;
+  return out;
+}
+
+/// Golden lines by label, read once from tests/data/dts_exact_golden.txt.
+const std::map<std::string, std::string>& golden_lines() {
+  static const std::map<std::string, std::string> lines = [] {
+    std::map<std::string, std::string> m;
+    std::ifstream in(std::string(SINET_TEST_DATA_DIR) +
+                     "/dts_exact_golden.txt");
+    std::string line;
+    while (std::getline(in, line))
+      if (!line.empty() && line[0] != '#')
+        m.emplace(line.substr(0, line.find(' ')), line);
+    return m;
+  }();
+  return lines;
+}
+
+void expect_matches_golden(const std::string& label,
+                           const DtsNetworkResult& r) {
+  const auto it = golden_lines().find(label);
+  ASSERT_NE(it, golden_lines().end())
+      << "no line '" << label << "' in tests/data/dts_exact_golden.txt";
+  EXPECT_EQ(it->second, golden_line(label, r));
+}
+
+std::string parity_label(std::size_t nodes, std::uint64_t case_id) {
+  return "parity-" + std::to_string(nodes) + "n-" + std::to_string(case_id);
+}
+
+void run_golden_cases(std::size_t nodes, std::uint64_t first_case,
+                      std::uint64_t count) {
+  for (std::uint64_t c = first_case; c < first_case + count; ++c) {
+    const std::string label = parity_label(nodes, c);
+    SCOPED_TRACE(label);
+    expect_matches_golden(label, run_dts_network(parity_case(nodes, c)));
+    if (testing::Test::HasFailure()) return;  // one divergence is enough
+  }
+}
+
+// 56 seeded configurations across four population sizes (the suite is
+// split so no single test monopolizes the timeout budget).
+TEST(DtsExactGolden, SingleNodeConfigs) { run_golden_cases(1, 0, 14); }
+TEST(DtsExactGolden, ThreeNodeConfigs) { run_golden_cases(3, 100, 14); }
+TEST(DtsExactGolden, TwelveNodeConfigs) { run_golden_cases(12, 200, 14); }
+TEST(DtsExactGolden, SixtyFourNodeConfigs) { run_golden_cases(64, 300, 14); }
+
 void expect_records_equal(const trace::UplinkRecord& a,
                           const trace::UplinkRecord& b, std::size_t i) {
   EXPECT_EQ(a.sequence, b.sequence) << "uplink " << i;
@@ -86,76 +245,20 @@ void expect_records_equal(const trace::UplinkRecord& a,
   EXPECT_EQ(a.via_satellite, b.via_satellite) << "uplink " << i;
 }
 
-void expect_results_equal(const DtsNetworkResult& legacy,
-                          const DtsNetworkResult& batched,
-                          std::uint64_t case_id) {
-  SCOPED_TRACE("parity case " + std::to_string(case_id));
-  ASSERT_EQ(legacy.uplinks.size(), batched.uplinks.size());
-  for (std::size_t i = 0; i < legacy.uplinks.size(); ++i) {
-    expect_records_equal(legacy.uplinks[i], batched.uplinks[i], i);
+void expect_results_equal(const DtsNetworkResult& a,
+                          const DtsNetworkResult& b) {
+  ASSERT_EQ(a.uplinks.size(), b.uplinks.size());
+  for (std::size_t i = 0; i < a.uplinks.size(); ++i) {
+    expect_records_equal(a.uplinks[i], b.uplinks[i], i);
     if (testing::Test::HasFailure()) break;  // one divergence is enough
   }
-
-  EXPECT_EQ(legacy.counters.beacons_sent, batched.counters.beacons_sent);
-  EXPECT_EQ(legacy.counters.beacons_heard, batched.counters.beacons_heard);
-  EXPECT_EQ(legacy.counters.uplink_attempts,
-            batched.counters.uplink_attempts);
-  EXPECT_EQ(legacy.counters.uplinks_received,
-            batched.counters.uplinks_received);
-  EXPECT_EQ(legacy.counters.uplinks_collided,
-            batched.counters.uplinks_collided);
-  EXPECT_EQ(legacy.counters.acks_sent, batched.counters.acks_sent);
-  EXPECT_EQ(legacy.counters.acks_received, batched.counters.acks_received);
-  EXPECT_EQ(legacy.counters.duplicate_uplinks,
-            batched.counters.duplicate_uplinks);
-  EXPECT_EQ(legacy.counters.satellite_buffer_drops,
-            batched.counters.satellite_buffer_drops);
-  EXPECT_EQ(legacy.counters.background_losses,
-            batched.counters.background_losses);
-
-  ASSERT_EQ(legacy.node_residency.size(), batched.node_residency.size());
-  for (std::size_t n = 0; n < legacy.node_residency.size(); ++n)
-    for (int m = 0; m < energy::kModeCount; ++m)
-      EXPECT_EQ(legacy.node_residency[n].seconds_in(
-                    static_cast<energy::Mode>(m)),
-                batched.node_residency[n].seconds_in(
-                    static_cast<energy::Mode>(m)))
-          << "node " << n << " mode " << m;
-
-  EXPECT_EQ(legacy.agg.reports_generated, batched.agg.reports_generated);
-  EXPECT_EQ(legacy.agg.reports_delivered, batched.agg.reports_delivered);
-  EXPECT_EQ(legacy.agg.eligible_generated, batched.agg.eligible_generated);
-  EXPECT_EQ(legacy.agg.eligible_delivered, batched.agg.eligible_delivered);
-  EXPECT_EQ(legacy.agg.local_buffer_drops, batched.agg.local_buffer_drops);
-  EXPECT_EQ(legacy.agg.packets_abandoned, batched.agg.packets_abandoned);
-  EXPECT_EQ(legacy.agg.sum_end_to_end_s, batched.agg.sum_end_to_end_s);
-  EXPECT_EQ(legacy.agg.sum_wait_s, batched.agg.sum_wait_s);
-  EXPECT_EQ(legacy.agg.wait_samples, batched.agg.wait_samples);
+  // Every counter, aggregate and residency value, bit for bit.
+  EXPECT_EQ(golden_line("", a), golden_line("", b));
 }
 
-void run_parity_cases(std::size_t nodes, std::uint64_t first_case,
-                      std::uint64_t count) {
-  for (std::uint64_t c = first_case; c < first_case + count; ++c) {
-    DtsNetworkConfig cfg = parity_case(nodes, c);
-    cfg.engine = DtsEngine::kLegacy;
-    const DtsNetworkResult legacy = run_dts_network(cfg);
-    cfg.engine = DtsEngine::kBatched;
-    const DtsNetworkResult batched = run_dts_network(cfg);
-    expect_results_equal(legacy, batched, c);
-    if (testing::Test::HasFailure()) return;
-  }
-}
-
-// 56 seeded configurations across four population sizes (the suite is
-// split so no single test monopolizes the timeout budget).
-TEST(DtsEngineParity, SingleNodeConfigs) { run_parity_cases(1, 0, 14); }
-TEST(DtsEngineParity, ThreeNodeConfigs) { run_parity_cases(3, 100, 14); }
-TEST(DtsEngineParity, TwelveNodeConfigs) { run_parity_cases(12, 200, 14); }
-TEST(DtsEngineParity, SixtyFourNodeConfigs) { run_parity_cases(64, 300, 14); }
-
-TEST(DtsEngineParity, FleetConfigMatchesExplicitNodeList) {
+TEST(DtsExactEngine, FleetConfigMatchesExplicitNodeList) {
   // A fleet prototype must behave exactly like the equivalent explicit
-  // node list, on both engines.
+  // node list.
   DtsNetworkConfig base =
       tianqi_agriculture_config(core::campaign_epoch_jd(), 0.2);
   base.nodes.clear();
@@ -171,9 +274,9 @@ TEST(DtsEngineParity, FleetConfigMatchesExplicitNodeList) {
   for (std::size_t n = 0; n < 10; ++n)
     listed.nodes.push_back(detail::dts_node_config(base, n));
 
-  base.engine = DtsEngine::kBatched;
-  listed.engine = DtsEngine::kLegacy;
-  expect_results_equal(run_dts_network(listed), run_dts_network(base), 9999);
+  const DtsNetworkResult fleet = run_dts_network(base);
+  ASSERT_FALSE(fleet.uplinks.empty()) << "exact mode must keep traces";
+  expect_results_equal(run_dts_network(listed), fleet);
 }
 
 // --- scale-bug sweep regressions -------------------------------------
@@ -221,27 +324,14 @@ TEST(DtsScaleBugs, FreshNodeIsNotBusyAtTimeZero) {
 }
 
 TEST(DtsScaleBugs, TinyBufferArqInterleavingStaysConsistent) {
-  // buffer_capacity=1 with a fast report cadence forces constant local
-  // drops interleaved with ARQ retransmissions — the pattern that opens
-  // gaps in the per-node sequence runs. Both engines must agree exactly
-  // and account every report as delivered, abandoned, dropped or
-  // still pending.
-  DtsNetworkConfig cfg =
-      tianqi_agriculture_config(core::campaign_epoch_jd(), 0.3);
-  cfg.seed = 77;
-  for (auto& nc : cfg.nodes) {
-    nc.buffer_capacity = 1;
-    nc.report_interval_s = 300.0;
-    nc.max_retransmissions = 3;
-  }
-  cfg.engine = DtsEngine::kLegacy;
-  const DtsNetworkResult legacy = run_dts_network(cfg);
-  cfg.engine = DtsEngine::kBatched;
-  const DtsNetworkResult batched = run_dts_network(cfg);
-  expect_results_equal(legacy, batched, 7777);
-  EXPECT_GT(batched.agg.local_buffer_drops, 0u)
+  // Constant local drops interleaved with ARQ retransmissions: the run
+  // must reproduce its golden line (records, counters, residency) and
+  // really exercise the buffer-overflow gaps.
+  const DtsNetworkResult res = run_dts_network(tiny_buffer_config());
+  expect_matches_golden("tiny-buffer-77", res);
+  EXPECT_GT(res.agg.local_buffer_drops, 0u)
       << "case too mild to exercise buffer-overflow gaps";
-  EXPECT_GT(batched.agg.reports_generated, 0u);
+  EXPECT_GT(res.agg.reports_generated, 0u);
 }
 
 // --- aggregate (population) mode -------------------------------------

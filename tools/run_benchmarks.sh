@@ -146,25 +146,17 @@ if arms:
             arm: round(legacy / ms, 2) for arm, ms in arms.items() if ms}
     merged["ephemeris_ablation"] = summary
 
-# Distill the DtS engine ablation (legacy vs batched per node count) and
-# the 100k-node CLI probe into one "scale_ablation" block.
+# Distill the aggregate DtS engine's thread-scaling arms and the 100k-node
+# CLI probe into one "scale_ablation" block.
 scale = {}
 for row in merged.get("bench_ablation_scale", {}).get("benchmarks", []):
     name = row.get("name", "")
     if name.startswith("BM_ScaleEngine_"):
-        # "BM_ScaleEngine_Batched/50000/iterations:1"    -> "Batched/50000"
         # "BM_ScaleEngine_Parallel/50000/4/iterations:1" -> "Parallel/50000/4T"
-        arm = name[len("BM_ScaleEngine_"):]
-        parts = arm.split("/")
-        if parts[0] == "Parallel":
-            arm = "/".join(parts[:2]) + "/" + parts[2] + "T"
-        else:
-            arm = "/".join(parts[:2])
+        parts = name[len("BM_ScaleEngine_"):].split("/")
+        arm = "/".join(parts[:2]) + "/" + parts[2] + "T"
         scale.setdefault("wall_ms", {})[arm] = row.get("real_time")
 wall = scale.get("wall_ms", {})
-if "Legacy/2000" in wall and wall.get("Batched/2000"):
-    scale["speedup_vs_legacy_2000"] = round(
-        wall["Legacy/2000"] / wall["Batched/2000"], 2)
 # Thread-scaling of the parallel engine: speedup of each Parallel arm
 # over its own 1-thread reference at the same population.
 parallel_speedup = {}
